@@ -148,6 +148,7 @@ pub fn bounded_arb_independent_set_with(
     let mut bad = vec![false; g.n()];
     let mut trace = Vec::with_capacity(params.theta as usize);
     let mut global_iter = 0u64;
+    let mut prio = vec![0u64; g.n()];
 
     for k in 1..=params.theta {
         let rho = params.rho(k);
@@ -163,7 +164,7 @@ pub fn bounded_arb_independent_set_with(
         // bit-identical. Empty iterations only bump the counter.
         for _ in 0..params.lambda {
             if view.active_count() > 0 {
-                let joiners = iteration_joiners(&view, cfg, rho, global_iter);
+                let joiners = iteration_joiners(&view, cfg, rho, global_iter, &mut prio);
                 if cfg.record_iterations {
                     joined_per_iteration.push(joiners.len());
                 }
@@ -255,28 +256,32 @@ pub fn bounded_arb_independent_set_with(
 /// priority, and `0 > 0` is false; our `(0, id)` comparison would let a
 /// 0-priority node "beat" another, so competitiveness is required
 /// explicitly).
+///
+/// Each active node's priority is drawn once into `prio` (indexed by
+/// node, reused across iterations) rather than once per incident edge.
 fn iteration_joiners(
     view: &ActiveView<'_>,
     cfg: &BoundedArbConfig,
     rho: f64,
     iter: u64,
+    prio: &mut [u64],
 ) -> Vec<NodeId> {
     let n = view.graph().n();
     let competitive =
         |v: NodeId| -> bool { !cfg.rho_cutoff || (view.active_degree(v) as f64) <= rho };
-    let pri = |v: NodeId| -> (u64, NodeId) {
-        if competitive(v) {
-            (draw_priority(cfg.seed, v, iter, n), v)
+    for v in view.active_nodes() {
+        prio[v] = if competitive(v) {
+            draw_priority(cfg.seed, v, iter, n)
         } else {
-            (0, v)
-        }
-    };
+            0
+        };
+    }
     view.active_nodes()
         .filter(|&v| {
-            competitive(v) && {
-                let pv = pri(v);
-                view.active_neighbors(v).all(|u| pv > pri(u))
-            }
+            competitive(v)
+                && view
+                    .active_neighbors(v)
+                    .all(|u| (prio[v], v) > (prio[u], u))
         })
         .collect()
 }
@@ -449,6 +454,109 @@ mod tests {
             out.iterations * ROUNDS_PER_ITERATION
                 + u64::from(out.params.theta) * ROUNDS_PER_SCALE_END
         );
+    }
+
+    /// Pins the full outcome (`in_mis`, `bad`, `active`, `rounds` and the
+    /// per-iteration trace) on fixed seeds, with the `ρ_k` cutoff on and
+    /// off (off is the E12 ablation), so a rewrite of the joiner
+    /// selection must keep every draw and comparison. On these families
+    /// the practical-mode cutoff never binds, so both settings pin the
+    /// same digest; `buffered_joiners_match_per_edge_rule` forces it.
+    #[test]
+    fn shattering_golden_digests() {
+        use arbmis_graph::digest::Fnv128;
+        let graphs = [
+            ("apollonian", gen::apollonian(3000, &mut rng(31)), 3),
+            ("ktree", gen::random_ktree(3000, 3, &mut rng(32)), 3),
+            ("forest_union", gen::forest_union(3000, 4, &mut rng(33)), 4),
+        ];
+        let golden = [
+            ("apollonian", true, "123f855ee4d548144ad6ed8f77ea040e"),
+            ("apollonian", false, "123f855ee4d548144ad6ed8f77ea040e"),
+            ("ktree", true, "f1a23a44afc8e081aeb332a1979adbc7"),
+            ("ktree", false, "f1a23a44afc8e081aeb332a1979adbc7"),
+            ("forest_union", true, "f3eac91f88d4c101185fc60cb8179036"),
+            ("forest_union", false, "f3eac91f88d4c101185fc60cb8179036"),
+        ];
+        for (name, rho_cutoff, want) in golden {
+            let (_, g, alpha) = graphs.iter().find(|(n, ..)| *n == name).unwrap();
+            let cfg = BoundedArbConfig {
+                rho_cutoff,
+                record_iterations: true,
+                ..BoundedArbConfig::new(*alpha, 17)
+            };
+            let out = bounded_arb_independent_set(g, &cfg);
+            assert!(out.params.theta > 0, "{name}: no scales ran");
+            let mut h = Fnv128::new();
+            h.write_str(&format!(
+                "{:?}",
+                (&out.in_mis, &out.bad, &out.active, out.rounds, &out.trace)
+            ));
+            assert_eq!(h.hex(), want, "{name} rho_cutoff={rho_cutoff}");
+        }
+    }
+
+    /// The per-edge joiner rule `iteration_joiners` replaced: every
+    /// comparison re-draws the neighbor's priority.
+    fn iteration_joiners_reference(
+        view: &ActiveView<'_>,
+        cfg: &BoundedArbConfig,
+        rho: f64,
+        iter: u64,
+    ) -> Vec<NodeId> {
+        let n = view.graph().n();
+        let competitive =
+            |v: NodeId| -> bool { !cfg.rho_cutoff || (view.active_degree(v) as f64) <= rho };
+        let pri = |v: NodeId| -> (u64, NodeId) {
+            if competitive(v) {
+                (draw_priority(cfg.seed, v, iter, n), v)
+            } else {
+                (0, v)
+            }
+        };
+        view.active_nodes()
+            .filter(|&v| {
+                competitive(v) && {
+                    let pv = pri(v);
+                    view.active_neighbors(v).all(|u| pv > pri(u))
+                }
+            })
+            .collect()
+    }
+
+    /// The buffered joiner selection equals the per-edge rule with ρ
+    /// forced low enough that many nodes opt out (the golden runs above
+    /// never reach a binding cutoff), over shrinking active sets.
+    #[test]
+    fn buffered_joiners_match_per_edge_rule() {
+        let g = gen::apollonian(2000, &mut rng(41));
+        for rho_cutoff in [true, false] {
+            let cfg = BoundedArbConfig {
+                rho_cutoff,
+                ..BoundedArbConfig::new(3, 23)
+            };
+            let mut view = ActiveView::new(&g);
+            let mut prio = vec![0u64; g.n()];
+            let mut opted_out = 0;
+            for iter in 0..12 {
+                let rho = [2.0, 4.0, 6.5][iter as usize % 3];
+                opted_out += view
+                    .active_nodes()
+                    .filter(|&v| view.active_degree(v) as f64 > rho)
+                    .count();
+                let want = iteration_joiners_reference(&view, &cfg, rho, iter);
+                let got = iteration_joiners(&view, &cfg, rho, iter, &mut prio);
+                assert_eq!(got, want, "rho_cutoff={rho_cutoff} iter={iter}");
+                for &v in &got {
+                    let nbrs: Vec<NodeId> = view.active_neighbors(v).collect();
+                    view.deactivate(v);
+                    for u in nbrs {
+                        view.deactivate(u);
+                    }
+                }
+            }
+            assert!(opted_out > 0);
+        }
     }
 
     #[test]

@@ -90,45 +90,135 @@ impl GraphBuilder {
         self
     }
 
-    /// Finalizes into a normalized [`Graph`]: sorts, deduplicates, and
-    /// lays out CSR arrays. `O(m log m + n)`.
+    /// Wraps already-normalized pairs (`u < v < n`, any order,
+    /// duplicates allowed) without re-checking them; the edge-list reader
+    /// validates its ids once while parsing.
+    pub(crate) fn from_normalized_pairs(n: usize, edges: Vec<(NodeId, NodeId)>) -> Self {
+        debug_assert!(edges.iter().all(|&(u, v)| u < v && v < n));
+        GraphBuilder { n, edges }
+    }
+
+    /// Finalizes into a normalized [`Graph`] by a counting sort on the
+    /// endpoint: both directions of every pair are scattered into their
+    /// rows, then each row is sorted and deduplicated in place.
+    /// `O(n + m + Σ_v d_v log d_v)` time; the pairs are not copied.
     pub fn build(&self) -> Graph {
         let n = self.n;
-        let mut edges = self.edges.clone();
-        edges.sort_unstable();
-        edges.dedup();
-
-        let mut degree = vec![0usize; n];
-        for &(u, v) in &edges {
-            degree[u] += 1;
-            degree[v] += 1;
+        // `pos[v]` starts as the end of row `v`; scattering fills each row
+        // back to front, which leaves `pos[v]` at the row's start. The
+        // pairs are scanned backwards so that sorted input (edge lists
+        // written by `write_edge_list`, `Graph::edges`) lands in ascending
+        // rows, where the row sort below is a linear check.
+        let mut pos = vec![0usize; n + 1];
+        for &(u, v) in &self.edges {
+            pos[u] += 1;
+            pos[v] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
         for v in 0..n {
-            offsets.push(offsets[v] + degree[v]);
+            pos[v + 1] += pos[v];
         }
-        let mut adj = vec![0 as NodeId; 2 * edges.len()];
-        let mut cursor = offsets[..n].to_vec();
-        for &(u, v) in &edges {
-            adj[cursor[u]] = v;
-            cursor[u] += 1;
-            adj[cursor[v]] = u;
-            cursor[v] += 1;
+        let mut adj = vec![0 as NodeId; 2 * self.edges.len()];
+        for &(u, v) in self.edges.iter().rev() {
+            pos[u] -= 1;
+            adj[pos[u]] = v;
+            pos[v] -= 1;
+            adj[pos[v]] = u;
         }
-        // Edges were inserted in sorted (u, v) order with u < v, so each
-        // node's list of larger neighbors is sorted, but smaller neighbors
-        // interleave; sort each slice to restore the CSR invariant.
+        // Compact the deduplicated rows to the front, rewriting `pos` into
+        // the final offsets as we go (`pos[v + 1]` is read before it is
+        // overwritten).
+        let (mut start, mut written) = (0, 0);
         for v in 0..n {
-            adj[offsets[v]..offsets[v + 1]].sort_unstable();
+            let end = pos[v + 1];
+            let len = sort_dedup(&mut adj[start..end]);
+            adj.copy_within(start..start + len, written);
+            written += len;
+            pos[v + 1] = written;
+            start = end;
         }
-        Graph::from_csr_unchecked(offsets, adj)
+        adj.truncate(written);
+        adj.shrink_to_fit();
+        Graph::from_csr_unchecked(pos, adj)
     }
+}
+
+/// Sorts `row` and moves its distinct values to the front, returning how
+/// many there are. `O(d)` on an already-sorted row.
+fn sort_dedup(row: &mut [NodeId]) -> usize {
+    if !row.is_sorted() {
+        row.sort_unstable();
+    }
+    if row.is_empty() {
+        return 0;
+    }
+    let mut len = 1;
+    for i in 1..row.len() {
+        if row[i] != row[len - 1] {
+            row[len] = row[i];
+            len += 1;
+        }
+    }
+    len
+}
+
+/// Writes a [`Graph`] one node row at a time, for callers that already
+/// hold each node's neighbor list (induced subgraphs, overlay
+/// compaction) and so need no edge-pair sort.
+pub(crate) struct CsrWriter {
+    offsets: Vec<usize>,
+    adj: Vec<NodeId>,
+}
+
+impl CsrWriter {
+    /// A writer for `n` rows holding about `entries` directed entries.
+    pub(crate) fn with_capacity(n: usize, entries: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        CsrWriter {
+            offsets,
+            adj: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Appends the next node's row, sorting and deduplicating it.
+    pub(crate) fn push_row(&mut self, row: impl IntoIterator<Item = NodeId>) {
+        let start = self.adj.len();
+        self.adj.extend(row);
+        let len = sort_dedup(&mut self.adj[start..]);
+        self.adj.truncate(start + len);
+        self.offsets.push(self.adj.len());
+    }
+
+    /// The finished graph. Every row must have been pushed, and the rows
+    /// must be symmetric (`u` lists `v` iff `v` lists `u`) and loop-free;
+    /// debug builds check this.
+    pub(crate) fn finish(self) -> Graph {
+        Graph::from_csr_unchecked(self.offsets, self.adj)
+    }
+}
+
+/// The reference CSR of the undirected pairs on `n` nodes: both
+/// directions of every pair, globally sorted and deduplicated.
+#[cfg(test)]
+pub(crate) fn reference_csr(n: usize, pairs: &[(NodeId, NodeId)]) -> (Vec<usize>, Vec<NodeId>) {
+    let mut directed: Vec<(NodeId, NodeId)> =
+        pairs.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
+    directed.sort_unstable();
+    directed.dedup();
+    let mut offsets = vec![0; n + 1];
+    for &(u, _) in &directed {
+        offsets[u + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    (offsets, directed.into_iter().map(|(_, v)| v).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn builds_sorted_csr() {
@@ -172,6 +262,34 @@ mod tests {
         let g2 = b.build();
         assert_eq!(g1.m(), 1);
         assert_eq!(g2.m(), 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(500))]
+
+        /// Multisets with duplicates and both orientations, including
+        /// isolated nodes and empty graphs.
+        #[test]
+        fn build_matches_sorted_pairs(seed in 0u64..u64::MAX) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..40usize);
+            let mut b = GraphBuilder::new(n);
+            let mut pairs = Vec::new();
+            for _ in 0..rng.gen_range(0..4 * n + 1) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u == v {
+                    continue;
+                }
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let (a, c) = if rng.gen_bool(0.5) { (u, v) } else { (v, u) };
+                    b.add_edge(a, c);
+                    pairs.push((a, c));
+                }
+            }
+            let g = b.build();
+            let (offsets, adj) = reference_csr(n, &pairs);
+            proptest::prop_assert_eq!(g.as_csr(), (&offsets[..], &adj[..]));
+        }
     }
 
     #[test]

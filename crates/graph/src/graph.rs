@@ -14,6 +14,10 @@ use std::fmt;
 /// Index of a node in a [`Graph`]. Nodes are always `0..n`.
 pub type NodeId = usize;
 
+/// Largest node count the workspace supports: [`crate::SubgraphScratch`]
+/// keeps local ids as `u32`. The edge-list reader rejects larger inputs.
+pub(crate) const MAX_NODES: usize = u32::MAX as usize;
+
 /// A simple undirected graph in CSR form.
 ///
 /// # Example
@@ -76,10 +80,12 @@ impl Graph {
 
     /// Constructs a graph from already-normalized CSR arrays.
     ///
-    /// This is the fast path used by [`crate::GraphBuilder`]. The caller
-    /// promises that `offsets` is monotone with `offsets[0] == 0` and
-    /// `offsets[n] == adj.len()`, each per-node slice of `adj` is strictly
-    /// sorted, contains no self reference, and adjacency is symmetric.
+    /// This is the fast path used by [`crate::GraphBuilder`] and by the
+    /// row-wise CSR writer behind induced subgraphs and overlay
+    /// compaction. The caller promises that `offsets` is monotone with
+    /// `offsets[0] == 0` and `offsets[n] == adj.len()`, each per-node
+    /// slice of `adj` is strictly sorted, contains no self reference, and
+    /// adjacency is symmetric.
     /// Debug builds verify all of this.
     pub(crate) fn from_csr_unchecked(offsets: Vec<usize>, adj: Vec<NodeId>) -> Self {
         let g = Graph { offsets, adj };

@@ -19,8 +19,8 @@
 //! sequence (no clocks, no allocator addresses), so two replicas applying
 //! the same updates hold byte-identical structures at every step.
 
+use crate::builder::CsrWriter;
 use crate::graph::{Graph, NodeId};
-use crate::GraphBuilder;
 
 /// A CSR base graph plus sorted delta lists and an alive mask.
 ///
@@ -239,15 +239,7 @@ impl OverlayGraph {
     /// base depends only on the live edge set.
     pub fn compact(&mut self) {
         let n = self.n();
-        let mut b = GraphBuilder::with_capacity(n, self.m);
-        for v in 0..n {
-            for u in self.neighbors(v) {
-                if u > v {
-                    b.add_edge(v, u);
-                }
-            }
-        }
-        self.base = b.build();
+        self.base = self.to_graph();
         for v in 0..n {
             self.added[v].clear();
             self.removed[v].clear();
@@ -260,15 +252,11 @@ impl OverlayGraph {
     /// the same ids (dead nodes isolated), leaving the overlay untouched.
     pub fn to_graph(&self) -> Graph {
         let n = self.n();
-        let mut b = GraphBuilder::with_capacity(n, self.m);
+        let mut w = CsrWriter::with_capacity(n, 2 * self.m);
         for v in 0..n {
-            for u in self.neighbors(v) {
-                if u > v {
-                    b.add_edge(v, u);
-                }
-            }
+            w.push_row(self.neighbors(v));
         }
-        b.build()
+        w.finish()
     }
 
     /// Snapshot of the alive mask.
@@ -466,6 +454,60 @@ mod tests {
                 assert_eq!(got, want, "step {step} node {v}");
                 assert_eq!(g.degree(v), want.len(), "step {step} node {v} degree");
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(200))]
+
+        /// `to_graph`, `compact` and `induce_by` over a churned overlay
+        /// against the sort-and-dedup reference of its live edge set;
+        /// `induce_by` reads rows through a closure that reverses them.
+        #[test]
+        fn materializations_match_reference(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n0 = rng.gen_range(2..30usize);
+            let mut g = OverlayGraph::new(gen::gnp(n0, 0.15, &mut rng));
+            for _ in 0..rng.gen_range(0..80usize) {
+                let n = g.n();
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                match rng.gen_range(0..10u32) {
+                    _ if u == v || !g.is_alive(u) || !g.is_alive(v) => {}
+                    0..=4 => {
+                        g.insert_edge(u, v);
+                    }
+                    5..=7 => {
+                        g.remove_edge(u, v);
+                    }
+                    8 => {
+                        g.insert_node(&[u, v]);
+                    }
+                    _ => g.remove_node(u),
+                }
+            }
+            let n = g.n();
+            let live: Vec<(NodeId, NodeId)> = (0..n)
+                .flat_map(|v| g.neighbors(v).map(move |u| (v, u)))
+                .collect();
+            let (offsets, adj) = crate::builder::reference_csr(n, &live);
+            let full = g.to_graph();
+            proptest::prop_assert_eq!(full.as_csr(), (&offsets[..], &adj[..]));
+
+            let nodes: Vec<NodeId> = (0..n).filter(|_| rng.gen_bool(0.6)).collect();
+            let mask: Vec<bool> = (0..n).map(|v| nodes.binary_search(&v).is_ok()).collect();
+            let want = crate::InducedSubgraph::new(&full, &mask);
+            let mut scratch = crate::SubgraphScratch::new();
+            let reversed = |v: NodeId| {
+                let mut row: Vec<NodeId> = g.neighbors(v).collect();
+                row.reverse();
+                row
+            };
+            let sub = scratch.induce_by(n, &nodes, reversed);
+            proptest::prop_assert_eq!(sub.graph(), want.graph());
+
+            g.compact();
+            proptest::prop_assert_eq!(g.delta_entries(), 0);
+            proptest::prop_assert_eq!(g.base.as_csr(), (&offsets[..], &adj[..]));
         }
     }
 

@@ -8,8 +8,8 @@
 //! [`InducedSubgraph`] compacts a node subset into a standalone [`Graph`]
 //! for handing components to finishing algorithms.
 
-use crate::graph::{Graph, NodeId};
-use crate::GraphBuilder;
+use crate::builder::CsrWriter;
+use crate::graph::{Graph, NodeId, MAX_NODES};
 
 /// A compacted induced subgraph with mappings to/from the parent graph.
 #[derive(Clone, Debug)]
@@ -35,16 +35,14 @@ impl InducedSubgraph {
         for (i, &v) in to_parent.iter().enumerate() {
             from_parent[v] = i;
         }
-        let mut b = GraphBuilder::new(to_parent.len());
-        for (i, &v) in to_parent.iter().enumerate() {
-            for &u in g.neighbors(v) {
-                if included[u] && u > v {
-                    b.add_edge(i, from_parent[u]);
-                }
-            }
-        }
+        let graph = induced_graph(
+            &to_parent,
+            degree_sum(g, &to_parent),
+            |u| Some(from_parent[u]).filter(|&i| i != usize::MAX),
+            |v| g.neighbors(v).iter().copied(),
+        );
         InducedSubgraph {
-            graph: b.build(),
+            graph,
             to_parent,
             from_parent,
         }
@@ -93,6 +91,34 @@ impl InducedSubgraph {
     }
 }
 
+/// Writes the subgraph induced on the ascending parent ids `nodes`, row
+/// by row: local node `i`'s row is `neighbors(nodes[i])` mapped through
+/// `local` (parent id → local id, `None` outside the set). `entries`
+/// sizes the adjacency buffer. Local ids ascend with parent ids, so a
+/// sorted parent row yields a sorted local row and the writer's sort is a
+/// linear check.
+fn induced_graph<I>(
+    nodes: &[NodeId],
+    entries: usize,
+    local: impl Fn(NodeId) -> Option<usize>,
+    neighbors: impl Fn(NodeId) -> I,
+) -> Graph
+where
+    I: IntoIterator<Item = NodeId>,
+{
+    let mut w = CsrWriter::with_capacity(nodes.len(), entries);
+    for &v in nodes {
+        w.push_row(neighbors(v).into_iter().filter_map(&local));
+    }
+    w.finish()
+}
+
+/// `Σ deg(v)` over `nodes`: an upper bound on the induced subgraph's
+/// directed adjacency entries.
+fn degree_sum(g: &Graph, nodes: &[NodeId]) -> usize {
+    nodes.iter().map(|&v| g.degree(v)).sum()
+}
+
 /// Reusable scratch for repeated induced-subgraph extraction.
 ///
 /// [`InducedSubgraph::from_nodes`] allocates two `O(n)` vectors per call
@@ -135,7 +161,7 @@ impl SubgraphScratch {
 
     /// Prepares the next epoch's tables for a parent id space of size `n`.
     fn begin(&mut self, n: usize) {
-        assert!(n <= u32::MAX as usize, "graph too large for u32 ids");
+        assert!(n <= MAX_NODES, "graph too large for u32 ids");
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
             self.local.resize(n, 0);
@@ -144,16 +170,18 @@ impl SubgraphScratch {
         self.nodes.clear();
     }
 
-    /// Builds the compacted graph from the sorted `self.nodes` list. Edge
-    /// insertion order matches [`InducedSubgraph::new`] exactly, so the
+    /// Builds the compacted graph from the sorted `self.nodes` list
+    /// through the same row writer as [`InducedSubgraph::new`], so the
     /// built graphs are equal.
     fn finish(&mut self, g: &Graph) -> Graph {
-        self.finish_by(|v| g.neighbors(v).iter().copied())
+        let entries = degree_sum(g, &self.nodes);
+        self.finish_by(entries, |v| g.neighbors(v).iter().copied())
     }
 
     /// Generic [`finish`](Self::finish): the parent adjacency is a
-    /// neighbor closure instead of a CSR graph.
-    fn finish_by<I>(&mut self, neighbors: impl Fn(NodeId) -> I) -> Graph
+    /// neighbor closure instead of a CSR graph; `entries` sizes the
+    /// adjacency buffer.
+    fn finish_by<I>(&mut self, entries: usize, neighbors: impl Fn(NodeId) -> I) -> Graph
     where
         I: IntoIterator<Item = NodeId>,
     {
@@ -161,15 +189,13 @@ impl SubgraphScratch {
             self.stamp[v] = self.epoch;
             self.local[v] = i as u32;
         }
-        let mut b = GraphBuilder::new(self.nodes.len());
-        for (i, &v) in self.nodes.iter().enumerate() {
-            for u in neighbors(v) {
-                if u > v && self.stamp[u] == self.epoch {
-                    b.add_edge(i, self.local[u] as usize);
-                }
-            }
-        }
-        b.build()
+        let (stamp, local, epoch) = (&self.stamp, &self.local, self.epoch);
+        induced_graph(
+            &self.nodes,
+            entries,
+            |u| (stamp[u] == epoch).then(|| local[u] as usize),
+            neighbors,
+        )
     }
 
     /// Extracts the subgraph of `g` induced by `nodes` (duplicates
@@ -194,9 +220,9 @@ impl SubgraphScratch {
     /// a neighbor *closure* rather than a CSR [`Graph`] — the entry point
     /// for mutable overlays ([`crate::OverlayGraph`]), whose adjacency
     /// has no slice form. `n` bounds the parent id space (tables are
-    /// lazily sized to it); `neighbors(v)` must yield `v`'s neighbors
-    /// without duplicates, in any order. Local ids ascend by parent id,
-    /// exactly as in [`induce`](Self::induce).
+    /// lazily sized to it); `neighbors(v)` must yield `v`'s neighbors in
+    /// any order, and the adjacency must be symmetric and loop-free. Local
+    /// ids ascend by parent id, exactly as in [`induce`](Self::induce).
     pub fn induce_by<'a, I>(
         &'a mut self,
         n: usize,
@@ -210,7 +236,7 @@ impl SubgraphScratch {
         self.nodes.extend_from_slice(nodes);
         self.nodes.sort_unstable();
         self.nodes.dedup();
-        let graph = self.finish_by(neighbors);
+        let graph = self.finish_by(0, neighbors);
         ScratchSubgraph {
             graph,
             scratch: self,
@@ -554,6 +580,60 @@ mod tests {
         assert_eq!(sub.graph().m(), 3);
         assert_eq!(sub.to_local(5), Some(4));
         assert_eq!(sub.to_local(4), None);
+    }
+
+    /// The reference induced graph of `mask`: parent edges with both
+    /// endpoints kept, relabelled by rank, through the sort-and-dedup
+    /// reference CSR.
+    fn reference_induced(g: &Graph, mask: &[bool]) -> (Vec<usize>, Vec<NodeId>) {
+        let kept: Vec<NodeId> = (0..g.n()).filter(|&v| mask[v]).collect();
+        let rank = |v: NodeId| kept.binary_search(&v).unwrap();
+        let pairs: Vec<(NodeId, NodeId)> = g
+            .edges()
+            .filter(|&(u, v)| mask[u] && mask[v])
+            .map(|(u, v)| (rank(u), rank(v)))
+            .collect();
+        crate::builder::reference_csr(kept.len(), &pairs)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(300))]
+
+        /// Every extraction entry point against the reference, on random
+        /// masks from empty to all-true; `induce_by` gets rows in
+        /// reversed order and `induce` a scrambled node list with
+        /// duplicates.
+        #[test]
+        fn extractions_match_reference(seed in 0u64..u64::MAX) {
+            use rand::seq::SliceRandom;
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..60usize);
+            let g = gen::gnp(n, rng.gen_range(0.0..0.3), &mut rng);
+            let keep = [0.0, 0.3, 0.8, 1.0][rng.gen_range(0..4usize)];
+            let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(keep)).collect();
+            let (offsets, adj) = reference_induced(&g, &mask);
+            let want = (&offsets[..], &adj[..]);
+            let kept: Vec<NodeId> = (0..n).filter(|&v| mask[v]).collect();
+            let mut scrambled = kept.clone();
+            scrambled.extend(kept.iter().filter(|_| rng.gen_bool(0.3)));
+            scrambled.shuffle(&mut rng);
+
+            let sub = InducedSubgraph::new(&g, &mask);
+            proptest::prop_assert_eq!(sub.graph().as_csr(), want);
+            let mut scratch = SubgraphScratch::new();
+            let got = scratch.induce(&g, &scrambled);
+            proptest::prop_assert_eq!(got.graph().as_csr(), want);
+            let got = scratch.induce_mask(&g, &mask);
+            proptest::prop_assert_eq!(got.graph().as_csr(), want);
+            let reversed = |v: NodeId| g.neighbors(v).iter().rev().copied();
+            let by = scratch.induce_by(n, &scrambled, reversed);
+            proptest::prop_assert_eq!(by.graph().as_csr(), want);
+            for (i, &v) in kept.iter().enumerate() {
+                proptest::prop_assert_eq!(by.to_parent(i), v);
+                proptest::prop_assert_eq!(sub.to_local(v), Some(i));
+            }
+        }
     }
 
     #[test]
