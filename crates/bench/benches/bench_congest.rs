@@ -1,7 +1,7 @@
 //! Benchmarks of the CONGEST simulator: message-passing overhead vs the
 //! centralized fast paths of the same algorithms.
 
-use arbmis_congest::{Parallelism, Simulator};
+use arbmis_congest::Simulator;
 use arbmis_core::metivier;
 use arbmis_core::protocols::{GhaffariProtocol, LubyProtocol, MetivierProtocol};
 use arbmis_graph::gen;
@@ -43,38 +43,5 @@ fn bench_congest(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel round engine on the workloads from the acceptance
-/// criteria: G(n, p = 4/n) and a random k-tree. The outputs are
-/// bit-identical (asserted by `tests/parallel_equivalence.rs`); only
-/// wall-clock differs.
-fn bench_congest_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("congest_parallel");
-    group.sample_size(10);
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let n = 50_000;
-    let gnp = gen::gnp(n, 4.0 / n as f64, &mut rng);
-    let ktree = gen::random_ktree(20_000, 3, &mut rng);
-
-    for (name, g) in [("gnp50k_d4", &gnp), ("ktree20k_k3", &ktree)] {
-        group.bench_with_input(BenchmarkId::new("metivier_serial", name), g, |b, g| {
-            b.iter(|| {
-                let sim = Simulator::new(g, 3).with_parallelism(Parallelism::Serial);
-                black_box(sim.run(&MetivierProtocol, 100_000).unwrap())
-            })
-        });
-        for threads in [2usize, 4, 8] {
-            let id = BenchmarkId::new(format!("metivier_par{threads}"), name);
-            group.bench_with_input(id, g, |b, g| {
-                b.iter(|| {
-                    let sim = Simulator::new(g, 3).with_parallelism(Parallelism::Threads(threads));
-                    black_box(sim.run_parallel(&MetivierProtocol, 100_000).unwrap())
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_congest, bench_congest_parallel);
+criterion_group!(benches, bench_congest);
 criterion_main!(benches);

@@ -30,7 +30,7 @@
 //!   flat_opt (the win of bit-packing alone, same machine, same run).
 
 use arbmis_bench::flatref::{ByteMaskFlat, RefAlgo};
-use arbmis_congest::{Parallelism, Simulator};
+use arbmis_congest::Simulator;
 use arbmis_core::protocols::{LubyProtocol, MetivierProtocol, MisNodeState};
 use arbmis_flat::{FlatAlgo, FlatBackend, MisBackend};
 use arbmis_graph::{gen, Graph};
@@ -92,14 +92,12 @@ fn measure(g: &Graph, algo: FlatAlgo, samples: usize) -> BenchEntry {
     let sim_states: Vec<MisNodeState> = match algo {
         FlatAlgo::Luby => {
             Simulator::new(g, SEED)
-                .with_parallelism(Parallelism::Serial)
                 .run(&LubyProtocol, MAX_ROUNDS)
                 .expect("congest run")
                 .states
         }
         _ => {
             Simulator::new(g, SEED)
-                .with_parallelism(Parallelism::Serial)
                 .run(&MetivierProtocol, MAX_ROUNDS)
                 .expect("congest run")
                 .states
@@ -127,7 +125,7 @@ fn measure(g: &Graph, algo: FlatAlgo, samples: usize) -> BenchEntry {
     }
 
     let (congest_ns, rounds) = median_ns_per_round(samples, || {
-        let sim = Simulator::new(g, SEED).with_parallelism(Parallelism::Serial);
+        let sim = Simulator::new(g, SEED);
         let t0 = Instant::now();
         let r = match algo {
             FlatAlgo::Luby => sim.run(&LubyProtocol, MAX_ROUNDS).unwrap().metrics.rounds,

@@ -1,70 +1,72 @@
 //! Machine-readable companion to the `bench_congest` Criterion group:
-//! measures median ns/round of the CONGEST round engines on the standard
-//! acceptance workloads — broadcast-heavy G(50k, p = 4/n) and a random
-//! k-tree — and writes `BENCH_congest.json` so the perf trajectory
-//! accumulates across commits.
+//! measures median ns/round of the serial CONGEST round engine on the
+//! standard acceptance workloads — broadcast-heavy G(50k, p = 4/n), a
+//! random k-tree and two sparse-tail cases — and writes
+//! `BENCH_congest.json` so the perf trajectory accumulates across
+//! commits.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_congest_json [--out PATH] [--baseline PATH] [--samples N]
+//! bench_congest_json [--out PATH] [--samples N]
 //! ```
 //!
-//! `--baseline` points at a previously emitted JSON (e.g. captured before
-//! a refactor); its `serial_ns_per_round` values are copied into
-//! `baseline_serial_ns_per_round` and the speedup ratio is reported, so
-//! the committed artifact carries both numbers.
+//! The observability-overhead guardrail times plain and recorded runs
+//! interleaved pair by pair (alternating which goes first) and reports
+//! the median per-pair ratio with its interquartile range, so host noise
+//! shows as spread instead of as a shifted ratio.
 
 use arbmis_congest::algorithms::ConvergeCast;
-use arbmis_congest::{Parallelism, Protocol, Simulator};
+use arbmis_congest::{Protocol, Simulator};
 use arbmis_core::params::{ArbParams, ParamMode};
 use arbmis_core::protocols::{BoundedArbProtocol, MetivierProtocol};
 use arbmis_graph::{gen, Graph};
 use arbmis_obs::{FlightRecorder, Recorder};
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 const SEED: u64 = 3;
 const MAX_ROUNDS: u64 = 100_000;
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct BenchDoc {
     schema: String,
     samples: u64,
     /// Core count of the machine that produced the numbers — without it
-    /// the `threads_parallel` timings are uninterpretable across hosts.
-    #[serde(default)]
+    /// the timings are uninterpretable across hosts.
     host_threads: u64,
-    threads_parallel: u64,
     workloads: Vec<BenchEntry>,
-    /// Observability-overhead guardrail: serial ns/round on `gnp50k_d4`
-    /// with the deterministic metric recorder *and* a bounded flight
-    /// recorder attached, vs the plain run. Capture must stay cheap
-    /// enough to leave on everywhere (DESIGN.md §8).
-    #[serde(default)]
-    obs_overhead: Option<ObsOverhead>,
+    /// Observability-overhead guardrail: ns/round on `gnp50k_d4` with the
+    /// deterministic metric recorder *and* a bounded flight recorder
+    /// attached, vs the plain run. Capture must stay cheap enough to
+    /// leave on everywhere (DESIGN.md §8).
+    obs_overhead: ObsOverhead,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct ObsOverhead {
     workload: String,
+    /// Number of interleaved (plain, recorded) pairs.
+    pairs: u64,
     plain_ns_per_round: f64,
     recorded_ns_per_round: f64,
+    /// Median over pairs of recorded / plain.
     overhead_ratio: f64,
+    /// First quartile of the per-pair ratios.
+    overhead_ratio_q1: f64,
+    /// Third quartile of the per-pair ratios.
+    overhead_ratio_q3: f64,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct BenchEntry {
     name: String,
     protocol: String,
     n: u64,
     m: u64,
     rounds: u64,
-    serial_ns_per_round: f64,
-    parallel_ns_per_round: f64,
-    baseline_serial_ns_per_round: Option<f64>,
-    serial_speedup_vs_baseline: Option<f64>,
+    ns_per_round: f64,
 }
 
 /// The protocol a workload drives — broadcast-heavy MIS twins plus the
@@ -149,58 +151,84 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
-/// Median of `samples` measurements of `ns/round`; also returns the round
-/// count (identical across samples — the engines are deterministic).
-fn median_ns_per_round(samples: usize, mut run: impl FnMut() -> (u64, u64)) -> (f64, u64) {
-    let mut rounds = 0;
-    let mut per_round: Vec<f64> = (0..samples)
-        .map(|_| {
-            let (ns, r) = run();
-            rounds = r;
-            ns as f64 / r.max(1) as f64
-        })
-        .collect();
-    per_round.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (per_round[per_round.len() / 2], rounds)
+/// The `q`-quantile of `xs` (linear interpolation between order
+/// statistics); sorts `xs` in place.
+fn quantile(xs: &mut [f64], q: f64) -> f64 {
+    xs.sort_by(|a, b| a.total_cmp(b));
+    let pos = q * (xs.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
 }
 
-/// Serial + parallel median ns/round for one protocol on one graph.
-fn measure<P>(
+/// Wall time and round count of one run of `proto` on `sim`.
+fn time_run<P: Protocol>(sim: Simulator<'_>, proto: &P, max_rounds: u64) -> (f64, u64) {
+    let t0 = Instant::now();
+    let run = sim.run(proto, max_rounds).unwrap();
+    (t0.elapsed().as_nanos() as f64, run.metrics.rounds)
+}
+
+/// Median ns/round over `samples` runs, and the round count (identical
+/// across samples — the engine is deterministic).
+fn median_ns_per_round<P: Protocol>(
     g: &Graph,
     proto: &P,
     max_rounds: u64,
     samples: usize,
-    threads: usize,
-) -> (f64, f64, u64)
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send + Sync,
-{
-    let (serial, rounds) = median_ns_per_round(samples, || {
-        let sim = Simulator::new(g, SEED).with_parallelism(Parallelism::Serial);
-        let t0 = Instant::now();
-        let run = sim.run(proto, max_rounds).unwrap();
-        (t0.elapsed().as_nanos() as u64, run.metrics.rounds)
-    });
-    let (parallel, _) = median_ns_per_round(samples, || {
-        let sim = Simulator::new(g, SEED).with_parallelism(Parallelism::Threads(threads));
-        let t0 = Instant::now();
-        let run = sim.run_parallel(proto, max_rounds).unwrap();
-        (t0.elapsed().as_nanos() as u64, run.metrics.rounds)
-    });
-    (serial, parallel, rounds)
+) -> (f64, u64) {
+    let mut rounds = 0;
+    let mut per_round: Vec<f64> = (0..samples)
+        .map(|_| {
+            let (ns, r) = time_run(Simulator::new(g, SEED), proto, max_rounds);
+            rounds = r;
+            ns / r.max(1) as f64
+        })
+        .collect();
+    (quantile(&mut per_round, 0.5), rounds)
+}
+
+/// Plain vs recorded (deterministic recorder + bounded flight ring)
+/// Métivier on `g`, interleaved pair by pair.
+fn obs_overhead(name: &str, g: &Graph, pairs: usize) -> ObsOverhead {
+    let plain = || time_run(Simulator::new(g, SEED), &MetivierProtocol, MAX_ROUNDS);
+    let recorded = || {
+        let sim = Simulator::new(g, SEED)
+            .with_recorder(Recorder::deterministic())
+            .with_flight(FlightRecorder::bounded(4096));
+        time_run(sim, &MetivierProtocol, MAX_ROUNDS)
+    };
+    let (mut plain_ns, mut rec_ns, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..pairs {
+        let ((p, rounds), (r, rec_rounds)) = if i % 2 == 0 {
+            let p = plain();
+            (p, recorded())
+        } else {
+            let r = recorded();
+            (plain(), r)
+        };
+        assert_eq!(rounds, rec_rounds, "recording changed the round count");
+        let per_round = rounds.max(1) as f64;
+        plain_ns.push(p / per_round);
+        rec_ns.push(r / per_round);
+        ratios.push(r / p);
+    }
+    ObsOverhead {
+        workload: name.to_string(),
+        pairs: pairs as u64,
+        plain_ns_per_round: quantile(&mut plain_ns, 0.5),
+        recorded_ns_per_round: quantile(&mut rec_ns, 0.5),
+        overhead_ratio: quantile(&mut ratios, 0.5),
+        overhead_ratio_q1: quantile(&mut ratios, 0.25),
+        overhead_ratio_q3: quantile(&mut ratios, 0.75),
+    }
 }
 
 fn main() {
     let mut out_path = "BENCH_congest.json".to_string();
-    let mut baseline_path: Option<String> = None;
-    let mut samples = 5usize;
+    let mut samples = 11usize;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out_path = args.next().expect("--out needs a path"),
-            "--baseline" => baseline_path = Some(args.next().expect("--baseline needs a path")),
             "--samples" => {
                 samples = args
                     .next()
@@ -214,85 +242,47 @@ fn main() {
             }
         }
     }
+    assert!(samples > 0, "--samples must be positive");
 
-    let baseline: Option<BenchDoc> = baseline_path.map(|p| {
-        let text = std::fs::read_to_string(&p).expect("baseline JSON must be readable");
-        serde_json::from_str(&text).expect("baseline JSON must parse")
-    });
-    let baseline_serial = |name: &str| -> Option<f64> {
-        baseline
-            .as_ref()?
-            .workloads
-            .iter()
-            .find(|w| w.name == name)
-            .map(|w| w.serial_ns_per_round)
-    };
-
-    let threads = std::thread::available_parallelism()
+    let host_threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     let mut entries = Vec::new();
-    let mut obs_overhead = None;
+    let mut overhead = None;
     for w in workloads() {
         let g = &w.graph;
-        let (serial, parallel, rounds) = match &w.proto {
+        let (ns, rounds) = match &w.proto {
             WorkloadProto::Metivier => {
-                measure(g, &MetivierProtocol, w.max_rounds, samples, threads)
+                median_ns_per_round(g, &MetivierProtocol, w.max_rounds, samples)
             }
-            WorkloadProto::BoundedArb(p) => measure(g, p, w.max_rounds, samples, threads),
-            WorkloadProto::ConvergeCast(p) => measure(g, p, w.max_rounds, samples, threads),
+            WorkloadProto::BoundedArb(p) => median_ns_per_round(g, p, w.max_rounds, samples),
+            WorkloadProto::ConvergeCast(p) => median_ns_per_round(g, p, w.max_rounds, samples),
         };
+        eprintln!("{}: {ns:.0} ns/round", w.name);
         if w.name == "gnp50k_d4" {
-            // Guardrail: the same serial run with full capture attached
-            // (deterministic metric recorder + bounded flight ring).
-            let (recorded, _) = median_ns_per_round(samples, || {
-                let sim = Simulator::new(g, SEED)
-                    .with_parallelism(Parallelism::Serial)
-                    .with_recorder(Recorder::deterministic())
-                    .with_flight(FlightRecorder::bounded(4096));
-                let t0 = Instant::now();
-                let run = sim.run(&MetivierProtocol, w.max_rounds).unwrap();
-                (t0.elapsed().as_nanos() as u64, run.metrics.rounds)
-            });
+            let o = obs_overhead(w.name, g, samples);
             eprintln!(
-                "{}: obs-recorded serial {recorded:.0} ns/round ({:.2}x plain)",
-                w.name,
-                recorded / serial
+                "{}: obs-recorded {:.2}x plain (IQR {:.2}–{:.2}, {} pairs)",
+                w.name, o.overhead_ratio, o.overhead_ratio_q1, o.overhead_ratio_q3, o.pairs
             );
-            obs_overhead = Some(ObsOverhead {
-                workload: w.name.to_string(),
-                plain_ns_per_round: serial,
-                recorded_ns_per_round: recorded,
-                overhead_ratio: recorded / serial,
-            });
+            overhead = Some(o);
         }
-        let base = baseline_serial(w.name);
-        eprintln!(
-            "{}: serial {serial:.0} ns/round, parallel({threads}) {parallel:.0} ns/round{}",
-            w.name,
-            base.map(|b| format!(", baseline {b:.0} ({:.2}x)", b / serial))
-                .unwrap_or_default()
-        );
         entries.push(BenchEntry {
             name: w.name.to_string(),
             protocol: w.protocol.to_string(),
             n: g.n() as u64,
             m: g.m() as u64,
             rounds,
-            serial_ns_per_round: serial,
-            parallel_ns_per_round: parallel,
-            baseline_serial_ns_per_round: base,
-            serial_speedup_vs_baseline: base.map(|b| b / serial),
+            ns_per_round: ns,
         });
     }
 
     let doc = BenchDoc {
-        schema: "bench_congest/v1".to_string(),
+        schema: "bench_congest/v2".to_string(),
         samples: samples as u64,
-        host_threads: threads as u64,
-        threads_parallel: threads as u64,
+        host_threads: host_threads as u64,
         workloads: entries,
-        obs_overhead,
+        obs_overhead: overhead.expect("the gnp50k_d4 workload is always measured"),
     };
     let text = serde_json::to_string_pretty(&doc).expect("serializing the JSON artifact");
     std::fs::write(&out_path, text + "\n").expect("writing the JSON artifact");

@@ -2,7 +2,7 @@
 //!
 //! [`run_scheduled`] fans the cells of *all* requested experiments into
 //! one shared worker pool ([`arbmis_congest::execute_indexed`] — the
-//! same atomic-claim executor the round engine and Monte-Carlo pool
+//! same atomic-claim executor the Monte-Carlo pool and the flat sweep
 //! use), then reduces each experiment's outputs in deterministic cell
 //! order. The determinism contract (DESIGN.md §9):
 //!
@@ -10,9 +10,9 @@
 //!    worker ran it or when;
 //! 2. outputs are assembled by cell index and reduced in plan order, so
 //!    scheduling cannot leak into report bytes;
-//! 3. while the scheduler owns the pool, inner engines are forced to
-//!    [`Parallelism::Serial`] — their results are thread-count-invariant
-//!    by the PR 1 contract, so this changes wall-clock only, and it
+//! 3. while the scheduler owns the pool, inner Monte-Carlo estimators
+//!    are forced to [`Parallelism::Serial`] — their results are
+//!    thread-count-invariant, so this changes wall-clock only, and it
 //!    keeps `--threads N` meaning "N cells in flight", never N² threads.
 //!
 //! Hence `--threads 1` vs `--threads N`, and cold vs warm cache, produce

@@ -1,13 +1,13 @@
-//! Sparse active-set bookkeeping for the round engines.
+//! Sparse active-set bookkeeping for the round engine and the flat engine.
 //!
 //! A [`Frontier`] is a two-level bitset over node ids: a packed
 //! [`BitMask`] (one word per 64 nodes) plus a summary word per 64 words,
 //! so membership updates are O(1), iteration is ascending and
 //! proportional to the set bits (plus `n/4096` summary words), and
-//! clearing only touches dirty words. The engines double-buffer two of
-//! these per round — see DESIGN.md §10. The flat engine additionally
-//! reads the inner mask directly ([`Frontier::mask`]) for dense
-//! word-level sweeps and word-aligned parallel chunking.
+//! clearing only touches dirty words. The round engine double-buffers
+//! two of these per round — see DESIGN.md §10. The flat engine
+//! additionally reads the inner mask directly ([`Frontier::mask`]) for
+//! dense word-level sweeps and word-aligned parallel chunking.
 
 use crate::bitmask::BitMask;
 use arbmis_graph::NodeId;

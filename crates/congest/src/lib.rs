@@ -81,7 +81,6 @@ pub use simulator::{Simulator, SimulatorError, SimulatorRun, Stepper};
 pub mod prelude {
     pub use crate::message::{DecodeError, Message};
     pub use crate::metrics::Metrics;
-    pub use crate::parallel::Parallelism;
     pub use crate::protocol::{Inbox, NodeInfo, Outgoing, Protocol};
     pub use crate::rng::{self, NodeRng};
     pub use crate::simulator::{Simulator, SimulatorError, SimulatorRun};

@@ -1,37 +1,28 @@
-//! Parallel execution configuration for the round engine.
+//! Deterministic parallel execution for independent work items.
 //!
-//! The parallel engine (see [`crate::Simulator::run_parallel`]) fans each
-//! synchronous round's node activations across a scoped thread pool. Its
-//! determinism contract: for a fixed `(graph, seed, protocol)`, the
-//! parallel engine produces *bit-identical* results to the serial engine
-//! at every thread count — same final states, same [`crate::Metrics`],
-//! same transcript digest, same error on protocol misbehaviour. This
-//! holds because
+//! [`execute_indexed`] fans item indices `0..items` across a scoped
+//! work-stealing pool sized by a [`Parallelism`] policy and returns the
+//! results in item-index order. Its callers are the experiment cell
+//! scheduler, the read-k Monte-Carlo estimators and the flat engine's
+//! threaded sweep. The CONGEST [`crate::Simulator`] itself is serial.
+//!
+//! Determinism contract: when `f` is a pure function of the item index,
+//! the output is bit-identical at every thread count, because
 //!
 //! 1. node randomness is counter-based ([`crate::rng`]): a draw depends
 //!    only on `(seed, node, round, tag)`, never on scheduling;
-//! 2. nodes are partitioned into contiguous id-ranges ("chunks") whose
-//!    boundaries are a pure function of `(n, threads)` — workers steal
-//!    whole chunks, and each chunk's sends are buffered locally in node
-//!    order;
-//! 3. chunk buffers are merged *in chunk index order* (= ascending node
-//!    order), which replays exactly the send sequence the serial
-//!    `for v in 0..n` loop would have produced.
+//! 2. results are assembled purely by item index, so which worker ran
+//!    which item never reaches the output.
 //!
 //! Thread count therefore affects wall-clock only, never results.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// How many chunks each worker thread should get on average. More chunks
-/// give better work-stealing balance on skewed degree distributions, at
-/// the cost of slightly more merge bookkeeping.
-pub(crate) const CHUNKS_PER_THREAD: usize = 4;
-
-/// Thread-count policy for [`crate::Simulator::run_parallel`].
+/// Thread-count policy for [`execute_indexed`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Single-threaded: `run_parallel` behaves exactly like `run`.
+    /// Single-threaded: items run inline in index order.
     Serial,
     /// One worker per available hardware thread.
     #[default]
@@ -41,8 +32,8 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// Resolves the policy to a concrete worker count for an `n`-node
-    /// simulation. Never returns 0; never exceeds `n`.
+    /// Resolves the policy to a concrete worker count for `n` work
+    /// items. Never returns 0; never exceeds `n`.
     pub fn effective_threads(self, n: usize) -> usize {
         let raw = match self {
             Parallelism::Serial => 1,
@@ -55,22 +46,12 @@ impl Parallelism {
     }
 }
 
-/// Contiguous node-id chunk boundaries: a pure function of `(n, threads)`
-/// so a given configuration always produces the same partition.
-pub(crate) fn chunk_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
-    let chunks = (threads * CHUNKS_PER_THREAD).clamp(1, n.max(1));
-    (0..chunks)
-        .map(|i| (i * n / chunks, (i + 1) * n / chunks))
-        .collect()
-}
-
 /// Runs `f` over the item indices `0..items` on a work-stealing crossbeam
 /// pool sized by `parallelism`, returning the results **in item-index
 /// order** regardless of which worker ran what.
 ///
-/// This is the generalized form of the round engine's chunk pool: workers
-/// claim the next unclaimed item off a shared atomic counter (whole-item
-/// stealing), so load imbalance between items self-corrects, while the
+/// Workers claim the next unclaimed item off a shared atomic counter
+/// (whole-item stealing), so load imbalance between items self-corrects, while the
 /// result vector is assembled purely by index — scheduling can never leak
 /// into output order. `f` receives `(worker_index, item_index)`; it must
 /// be a pure function of the item index for the determinism contract to
@@ -112,9 +93,9 @@ where
 /// 0 = `Auto`, 1 = `Serial`, `t + 1` = `Threads(t)`.
 static DEFAULT_PARALLELISM: AtomicUsize = AtomicUsize::new(0);
 
-/// Sets the process-wide default parallelism picked up by
-/// [`crate::Simulator::new`]. Benchmarks and the `experiments` binary use
-/// this to route every simulation through one `--threads` setting.
+/// Sets the process-wide default parallelism. The `experiments` binary
+/// and the benchmarks use it to route the cell scheduler, the read-k
+/// Monte-Carlo and the flat sweep through one `--threads` setting.
 pub fn set_default_parallelism(p: Parallelism) {
     let enc = match p {
         Parallelism::Auto => 0,
@@ -137,26 +118,6 @@ pub fn default_parallelism() -> Parallelism {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunk_bounds_partition_exactly() {
-        for n in [0, 1, 2, 7, 100, 1001] {
-            for threads in [1, 2, 4, 8] {
-                let bounds = chunk_bounds(n, threads);
-                assert!(!bounds.is_empty());
-                assert_eq!(bounds[0].0, 0);
-                assert_eq!(bounds.last().unwrap().1, n);
-                for w in bounds.windows(2) {
-                    assert_eq!(w[0].1, w[1].0, "chunks must be contiguous");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_bounds_are_deterministic() {
-        assert_eq!(chunk_bounds(1000, 4), chunk_bounds(1000, 4));
-    }
 
     #[test]
     fn effective_threads_never_zero() {

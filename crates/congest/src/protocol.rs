@@ -58,9 +58,8 @@ pub(crate) const NO_BROADCAST: u32 = u32::MAX;
 ///   broadcast this round, payload at `barena[bidx[u]]`). Delivering a
 ///   broadcast is O(1) for the engine — no per-edge writes at all; the
 ///   receiver discovers it by scanning its own neighbors.
-/// * an *explicit* part: `(sender, arena index)` entries (unicasts in the
-///   serial engine; all traffic in the parallel engine's chunk-local
-///   inboxes).
+/// * an *explicit* part: `(sender, arena index)` entries — the round's
+///   unicasts to this receiver (or, for an [`InboxBuf`], every entry).
 ///
 /// Because senders emit either a broadcast or unicasts in a round (never
 /// both) the two parts never collide, and the merge is a strict
@@ -95,7 +94,7 @@ impl<M> Clone for Inbox<'_, M> {
 impl<M> Copy for Inbox<'_, M> {}
 
 impl<'a, M> Inbox<'a, M> {
-    /// Assembles an explicit-entries-only view. Engine-internal:
+    /// Assembles an explicit-entries-only view (for [`InboxBuf`]):
     /// `entries` indices must be in bounds for `arena` and sorted by
     /// sender.
     pub(crate) fn from_parts(entries: &'a [(NodeId, u32)], arena: &'a [M]) -> Self {
@@ -108,7 +107,7 @@ impl<'a, M> Inbox<'a, M> {
         }
     }
 
-    /// Assembles the serial engine's dual view: lazy broadcast part over
+    /// Assembles the engine's dual view: lazy broadcast part over
     /// the receiver's neighbors plus explicit unicast entries.
     /// Engine-internal: `bidx` must cover every id in `nbrs`, non-sentinel
     /// slots must be in bounds for `barena`, and `entries` must be sorted

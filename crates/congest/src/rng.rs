@@ -70,11 +70,11 @@ pub type NodeRng = StdRng;
 
 /// Creates the stream RNG for `node` under `seed`.
 ///
-/// Note for parallel execution: a stream RNG carried *across* rounds in
-/// node state is still deterministic (its seed depends only on
-/// `(seed, node)` and it only ever advances inside that node's own
-/// `round` calls), but [`node_round_rng`] is preferred for new protocols
-/// because its derivation is auditable per round.
+/// A stream RNG carried *across* rounds in node state is deterministic
+/// (its seed depends only on `(seed, node)` and it only ever advances
+/// inside that node's own `round` calls), but [`node_round_rng`] is
+/// preferred for new protocols because its derivation is auditable per
+/// round.
 pub fn node_rng(seed: u64, node: usize) -> NodeRng {
     StdRng::seed_from_u64(splitmix64(
         seed ^ (node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
@@ -90,10 +90,9 @@ pub const STREAM_TAG: u64 = u64::MAX;
 /// function of the `(seed, node, round)` counters, with no state carried
 /// between rounds.
 ///
-/// This is the derivation the parallel round engine relies on: because
-/// the stream is re-derived from counters each round, a node's random
-/// choices are independent of *when* (and on which worker thread) its
-/// activation runs, so serial and parallel executions draw bit-identical
+/// Because the stream is re-derived from counters each round, a node's
+/// random choices are independent of *when* its activation runs — the
+/// CONGEST engine and a centralized fast path draw bit-identical
 /// randomness.
 pub fn node_round_rng(seed: u64, node: usize, round: u64) -> NodeRng {
     StdRng::seed_from_u64(draw(seed, node, round, STREAM_TAG))

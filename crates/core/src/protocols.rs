@@ -475,38 +475,29 @@ impl Protocol for BoundedArbProtocol {
     }
 }
 
-/// Runs a protocol twin over `g` on the parallel round engine, honoring
-/// the process-wide default [`arbmis_congest::Parallelism`].
+/// Runs a protocol twin over `g` on the serial CONGEST round engine.
 ///
 /// This is the canonical entry point for executing the protocol twins in
-/// this module: results are bit-identical to the serial engine at every
-/// thread count (see `arbmis_congest::parallel`), so fast-path
-/// equivalence holds unchanged while large runs use all cores.
+/// this module; fast-path equivalence is stated against its output.
 ///
 /// # Errors
 ///
 /// Propagates [`SimulatorError`] from the engine.
-pub fn simulate<P>(
+pub fn simulate<P: Protocol>(
     g: &arbmis_graph::Graph,
     seed: u64,
     protocol: &P,
     max_rounds: u64,
-) -> Result<SimulatorRun<P::State>, SimulatorError>
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send + Sync,
-{
-    Simulator::new(g, seed).run_parallel(protocol, max_rounds)
+) -> Result<SimulatorRun<P::State>, SimulatorError> {
+    Simulator::new(g, seed).run(protocol, max_rounds)
 }
 
-/// [`simulate`], additionally collecting a message transcript (identical
-/// to the serial engine's, digest included).
+/// [`simulate`], additionally collecting a message transcript.
 ///
 /// # Errors
 ///
 /// Propagates [`SimulatorError`] from the engine.
-pub fn simulate_traced<P>(
+pub fn simulate_traced<P: Protocol>(
     g: &arbmis_graph::Graph,
     seed: u64,
     protocol: &P,
@@ -517,13 +508,8 @@ pub fn simulate_traced<P>(
         arbmis_congest::transcript::Transcript,
     ),
     SimulatorError,
->
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send + Sync,
-{
-    Simulator::new(g, seed).run_parallel_traced(protocol, max_rounds)
+> {
+    Simulator::new(g, seed).run_traced(protocol, max_rounds)
 }
 
 impl BoundedArbProtocol {

@@ -26,7 +26,7 @@ use crate::{BackendError, CongestBackend, FlatAlgo, FlatBackend, MisBackend, Sca
 use arbmis_congest::rng;
 use arbmis_core::{bounded_arb, luby, metivier, ArbParams};
 use arbmis_graph::digest::Fnv128;
-use arbmis_graph::{Graph, NodeId, NodeOrder};
+use arbmis_graph::{Graph, NodeId, NodeOrder, MAX_NODES};
 use serde::{Deserialize, Serialize};
 
 /// Schema tag written into every replay artifact.
@@ -435,7 +435,8 @@ impl ReplayArtifact {
     /// # Errors
     ///
     /// A message naming the malformed part (bad JSON, wrong schema tag,
-    /// unknown algorithm, missing `arb` block, out-of-range edge).
+    /// unknown algorithm, missing `arb` block, `n` beyond the `u32` id
+    /// space, out-of-range edge, self loop).
     pub fn from_json(s: &str) -> Result<Self, String> {
         let art: ReplayArtifact =
             serde_json::from_str(s).map_err(|e| format!("replay artifact: {e}"))?;
@@ -446,12 +447,21 @@ impl ReplayArtifact {
             ));
         }
         art.algo()?;
+        if art.n > MAX_NODES {
+            return Err(format!(
+                "replay artifact: node count {} out of range (at most {MAX_NODES})",
+                art.n
+            ));
+        }
         for &(u, v) in &art.edges {
             if u >= art.n || v >= art.n {
                 return Err(format!(
                     "replay artifact: edge ({u}, {v}) out of range for n={}",
                     art.n
                 ));
+            }
+            if u == v {
+                return Err(format!("replay artifact: edge ({u}, {v}) is a self loop"));
             }
         }
         Ok(art)
@@ -730,6 +740,36 @@ mod tests {
         art.algo = "luby".into();
         art.edges.push((0, 99));
         assert!(ReplayArtifact::from_json(&art.to_json()).is_err());
+    }
+
+    fn path_artifact() -> ReplayArtifact {
+        ReplayArtifact::from_case(
+            &gen::path(4),
+            1,
+            FlatAlgo::Luby,
+            BackendSpec::flat(),
+            BackendSpec::congest(),
+            100,
+            None,
+        )
+    }
+
+    #[test]
+    fn artifact_rejects_self_loops() {
+        let mut art = path_artifact();
+        art.edges.push((2, 2));
+        let err = ReplayArtifact::from_json(&art.to_json()).unwrap_err();
+        assert!(err.contains("edge (2, 2) is a self loop"), "{err}");
+    }
+
+    #[test]
+    fn artifact_rejects_n_beyond_u32_id_space() {
+        let mut art = path_artifact();
+        art.n = MAX_NODES + 1;
+        let err = ReplayArtifact::from_json(&art.to_json()).unwrap_err();
+        assert!(err.contains("node count 4294967296 out of range"), "{err}");
+        art.n = MAX_NODES;
+        assert!(ReplayArtifact::from_json(&art.to_json()).is_ok());
     }
 
     #[test]

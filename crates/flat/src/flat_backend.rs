@@ -37,8 +37,8 @@ use arbmis_obs::{FlightRecorder, Recorder, RoundRecord};
 /// [`execute_indexed`] work-stealing pool. Each chunk collects its
 /// winners in ascending order into a private buffer; buffers are
 /// concatenated in chunk index order (= ascending node order), so the
-/// result is bit-identical to the serial sweep at every thread count —
-/// the same contract the CONGEST parallel engine keeps. Only the
+/// result is bit-identical to the serial sweep at every thread count.
+/// Only the
 /// single-threaded path is steady-state alloc-free.
 ///
 /// Randomness is the counter-pure [`rng`] keyed by
@@ -306,7 +306,7 @@ impl<'g> FlatBackend<'g> {
     /// `(word_lo, word_hi)` ranges. Word alignment makes per-chunk bit
     /// writes race-free; the chunk geometry never affects results (each
     /// chunk's output is ascending and chunks concatenate in order).
-    fn word_chunk_bounds(&self) -> Vec<(usize, usize)> {
+    fn word_ranges(&self) -> Vec<(usize, usize)> {
         let words = self.g.n().div_ceil(64);
         let chunks = (self.threads * 4).clamp(1, words.max(1));
         (0..chunks)
@@ -367,7 +367,7 @@ impl<'g> FlatBackend<'g> {
         let dense = self.scan.is_dense(self.active_count, self.g.n());
         let threads = self.threads;
         let bounds = if threads > 1 {
-            self.word_chunk_bounds()
+            self.word_ranges()
         } else {
             Vec::new()
         };
@@ -440,7 +440,7 @@ impl<'g> FlatBackend<'g> {
     fn prio_win_scan(&mut self) {
         self.wins.clear();
         if self.threads > 1 {
-            let bounds = self.word_chunk_bounds();
+            let bounds = self.word_ranges();
             self.ensure_chunk_bufs(bounds.len());
             let Self {
                 g,
@@ -542,7 +542,7 @@ impl<'g> FlatBackend<'g> {
         let dense = self.scan.is_dense(self.active_count, n);
         let threads = self.threads;
         let bounds = if threads > 1 {
-            self.word_chunk_bounds()
+            self.word_ranges()
         } else {
             Vec::new()
         };
@@ -753,7 +753,7 @@ impl<'g> FlatBackend<'g> {
             high as f64 > bad_thr
         };
         if threads > 1 {
-            let bounds = self.word_chunk_bounds();
+            let bounds = self.word_ranges();
             self.ensure_chunk_bufs(bounds.len());
             {
                 let Self {

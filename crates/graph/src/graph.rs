@@ -15,8 +15,9 @@ use std::fmt;
 pub type NodeId = usize;
 
 /// Largest node count the workspace supports: [`crate::SubgraphScratch`]
-/// keeps local ids as `u32`. The edge-list reader rejects larger inputs.
-pub(crate) const MAX_NODES: usize = u32::MAX as usize;
+/// keeps local ids as `u32`. The edge-list reader and replay artifacts
+/// reject larger inputs.
+pub const MAX_NODES: usize = u32::MAX as usize;
 
 /// A simple undirected graph in CSR form.
 ///

@@ -56,7 +56,7 @@ pub mod subgraph;
 pub mod traversal;
 
 pub use builder::GraphBuilder;
-pub use graph::{Graph, NodeId};
+pub use graph::{Graph, NodeId, MAX_NODES};
 pub use overlay::OverlayGraph;
 pub use perm::{NodeOrder, Permutation};
 pub use subgraph::{ActiveView, InducedSubgraph, ScratchSubgraph, SubgraphScratch};

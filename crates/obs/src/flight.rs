@@ -12,8 +12,7 @@
 //!    results; engines only read the quantities they report.
 //! 2. **Determinism.** Every [`RoundRecord`] field is deterministic
 //!    class: for a fixed `(graph, seed, config)` the recorded bytes are
-//!    identical run to run, across the serial and parallel CONGEST
-//!    engines, and at every thread count. There is no timing field.
+//!    identical run to run. There is no timing field.
 //!
 //! A disabled recorder (the default) is an `Option<Arc>` null check per
 //! call. Install one process-wide with [`set_global_flight`] and dump it
@@ -28,7 +27,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// `engine` names the capture source; fields a source cannot observe are
 /// zero (`0` digests, `"-"` scan):
 ///
-/// * `"congest"` — the CONGEST simulator (serial or parallel engine):
+/// * `"congest"` — the CONGEST simulator:
 ///   `frontier` is the number of nodes stepped, `messages`/`bits` are
 ///   the round's deltas, `scan` is `"frontier"` or `"full"`. Digests are
 ///   zero (the simulator is protocol-generic).

@@ -12,8 +12,7 @@ use serde::{Deserialize, Serialize};
 /// A log₂-bucketed histogram over `u64` observations.
 ///
 /// Merging and observing are commutative and associative, so any
-/// aggregation order produces the same histogram — the property the
-/// deterministic parallel engine relies on.
+/// aggregation order produces the same histogram.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Histogram {
     /// `counts[i]` = observations in bucket `i`; trailing empty buckets

@@ -66,8 +66,7 @@ pub enum Event {
 /// must be quarantined to names ending in `_ns` or starting with
 /// `worker_` so [`Recorder::deterministic`] sink output stays
 /// byte-identical. Prometheus-style label suffixes are stripped first,
-/// so `worker_busy_ns{worker="3"}` and `cell_run_ns{exp="E9"}` both
-/// classify by their base name.
+/// so `cell_run_ns{exp="E9"}` classifies by its base name.
 pub fn is_timing_class(name: &str) -> bool {
     let base = name.split('{').next().unwrap_or(name);
     base.ends_with("_ns") || base.starts_with("worker_")

@@ -34,5 +34,5 @@ pub use bounds::{
 };
 pub use family::ReadKFamily;
 pub use montecarlo::{
-    estimate, estimate_mean, estimate_mean_with_parallelism, estimate_with_parallelism, Estimate,
+    estimate, estimate_mean, estimate_mean_threaded, estimate_threaded, Estimate,
 };

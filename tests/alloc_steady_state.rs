@@ -43,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-use arbmis::congest::{Inbox, NodeInfo, Outgoing, Parallelism, Protocol, Simulator};
+use arbmis::congest::{Inbox, NodeInfo, Outgoing, Protocol, Simulator};
 
 /// Every node broadcasts the constant `1` each round (constant per-round
 /// traffic, constant message size, constant histogram bucket set) and
@@ -160,10 +160,7 @@ fn serial_engine_steady_state_allocates_nothing() {
 
     let run = |rounds: u64| {
         let proto = Chatter { rounds };
-        let out = Simulator::new(&g, 3)
-            .with_parallelism(Parallelism::Serial)
-            .run(&proto, rounds + 10)
-            .unwrap();
+        let out = Simulator::new(&g, 3).run(&proto, rounds + 10).unwrap();
         assert_eq!(out.metrics.rounds, rounds + 1);
         std::hint::black_box(out);
     };
@@ -185,10 +182,7 @@ fn frontier_bookkeeping_steady_state_allocates_nothing() {
 
     let run = |rounds: u64| {
         let proto = SparseTicker { rounds };
-        let out = Simulator::new(&g, 5)
-            .with_parallelism(Parallelism::Serial)
-            .run(&proto, rounds + 10)
-            .unwrap();
+        let out = Simulator::new(&g, 5).run(&proto, rounds + 10).unwrap();
         assert_eq!(out.metrics.rounds, rounds + 1);
         // The sparse frontier really was sparse: one message per
         // broadcasting round (node 0 has a single path neighbor).

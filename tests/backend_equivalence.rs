@@ -3,8 +3,8 @@
 //! flat shared-memory backend must be **round-identical** to the CONGEST
 //! simulator — the per-round joiner sets, the final MIS, and the total
 //! round count all agree, in both flat scan directions, under both
-//! simulator scheduling modes, and against the parallel round engine at
-//! every thread count.
+//! simulator scheduling modes, and against a one-shot
+//! [`Simulator::run`].
 //!
 //! The backends share no execution machinery — one passes messages
 //! through budget-checked planes, the other sweeps flat arrays — so any
@@ -19,14 +19,13 @@
 //! `ARBMIS_EQ_FLAT_THREADS` (comma-separated) narrow the flat matrix,
 //! so CI can pin one slice per job.
 
-use arbmis::congest::{Parallelism, Protocol, Simulator};
+use arbmis::congest::{Protocol, Simulator};
 use arbmis::core::protocols::{BoundedArbProtocol, LubyProtocol, MetivierProtocol, MisNodeState};
 use arbmis::core::{ArbParams, ParamMode};
 use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, NodeOrder, ScanMode};
 use arbmis::graph::{gen, Graph};
 use rand::SeedableRng;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 const SEEDS: [u64; 4] = [0, 1, 7, 42];
 const MAX_ROUNDS: u64 = 100_000;
 
@@ -112,22 +111,14 @@ fn assert_lockstep(label: &str, backends: &mut [&mut dyn MisBackend]) -> (u64, V
     (rounds, mis)
 }
 
-/// The parallel round engine's final MIS and round count for `proto`.
-fn parallel_outcome<P>(
+/// A one-shot [`Simulator::run`]'s final MIS and round count for `proto`.
+fn simulator_outcome<P: Protocol<State = MisNodeState>>(
     g: &Graph,
     seed: u64,
     proto: &P,
     max_rounds: u64,
-    threads: usize,
-) -> (Vec<bool>, u64)
-where
-    P: Protocol<State = MisNodeState> + Sync,
-    P::Msg: Send + Sync,
-{
-    let run = Simulator::new(g, seed)
-        .with_parallelism(Parallelism::Threads(threads))
-        .run_parallel(proto, max_rounds)
-        .unwrap();
+) -> (Vec<bool>, u64) {
+    let run = Simulator::new(g, seed).run(proto, max_rounds).unwrap();
     (
         run.states.iter().map(|s| s.in_mis).collect(),
         run.metrics.rounds,
@@ -136,8 +127,8 @@ where
 
 /// Full matrix for one `(graph, seed, algo)` workload: every flat
 /// configuration (scan × layout × flat threads) vs both simulator
-/// scheduling modes in lockstep, then the parallel engine at every
-/// thread count against the agreed outcome.
+/// scheduling modes in lockstep, then a one-shot simulator run against
+/// the agreed outcome.
 fn assert_workload(label: &str, g: &Graph, seed: u64, algo: FlatAlgo, max_rounds: u64) {
     let mut flats = Vec::new();
     for scan in [ScanMode::Sparse, ScanMode::Dense, ScanMode::Auto] {
@@ -164,24 +155,18 @@ fn assert_workload(label: &str, g: &Graph, seed: u64, algo: FlatAlgo, max_rounds
             "{label}: output is not an MIS"
         );
     }
-    for threads in THREADS {
-        let (par_mis, par_rounds) = match algo {
-            FlatAlgo::Luby => parallel_outcome(g, seed, &LubyProtocol, max_rounds, threads),
-            FlatAlgo::Metivier => parallel_outcome(g, seed, &MetivierProtocol, max_rounds, threads),
-            FlatAlgo::BoundedArb { params, rho_cutoff } => parallel_outcome(
-                g,
-                seed,
-                &BoundedArbProtocol { params, rho_cutoff },
-                max_rounds,
-                threads,
-            ),
-        };
-        assert_eq!(par_mis, mis, "{label}: parallel MIS at {threads} threads");
-        assert_eq!(
-            par_rounds, rounds,
-            "{label}: parallel rounds at {threads} threads"
-        );
-    }
+    let (sim_mis, sim_rounds) = match algo {
+        FlatAlgo::Luby => simulator_outcome(g, seed, &LubyProtocol, max_rounds),
+        FlatAlgo::Metivier => simulator_outcome(g, seed, &MetivierProtocol, max_rounds),
+        FlatAlgo::BoundedArb { params, rho_cutoff } => simulator_outcome(
+            g,
+            seed,
+            &BoundedArbProtocol { params, rho_cutoff },
+            max_rounds,
+        ),
+    };
+    assert_eq!(sim_mis, mis, "{label}: one-shot simulator MIS");
+    assert_eq!(sim_rounds, rounds, "{label}: one-shot simulator rounds");
 }
 
 #[test]

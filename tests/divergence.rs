@@ -3,15 +3,14 @@
 //! * an injected coin flip in a `FlatBackend` fork is localized to the
 //!   exact first divergent round and node, and the emitted replay
 //!   artifact reproduces the report byte-for-byte through the `arbmis
-//!   replay` subcommand;
+//!   replay` subcommand, which rejects malformed artifacts cleanly;
 //! * flight capture obeys the §8 observation rule — transcripts,
 //!   metrics, and states are bit-identical with the recorder on or off,
-//!   at thread counts {1, 2, 4, 8}, and the recorded flight bytes are
-//!   themselves identical across the serial and parallel engines;
+//!   and the recorded flight bytes are identical run to run;
 //! * the `(round, joiners, joiner_digest, coin_digest)` columns of flat
 //!   and congest-backend flight records agree for every algorithm.
 
-use arbmis::congest::{Parallelism, Simulator};
+use arbmis::congest::Simulator;
 use arbmis::core::protocols::MetivierProtocol;
 use arbmis::core::{ArbParams, ParamMode};
 use arbmis::flat::divergence::{localize, BackendSpec, DivergenceKind, ReplayArtifact};
@@ -124,61 +123,69 @@ fn backends_without_perturbation_do_not_diverge() {
     }
 }
 
-/// §8 differential: the flight recorder never perturbs the simulator.
-/// Transcripts, metrics, and states agree with capture on and off, at
-/// every thread count, and the captured bytes are engine-independent.
+/// A malformed artifact (a self loop, which `Graph::from_edges` would
+/// panic on) makes `arbmis replay` exit non-zero with a message naming
+/// the edge, never a panic.
 #[test]
-fn flight_capture_is_observation_only_across_thread_counts() {
+fn replay_cli_rejects_a_self_loop_artifact() {
+    let mut artifact = ReplayArtifact::from_case(
+        &arbmis::graph::gen::path(4),
+        1,
+        FlatAlgo::Luby,
+        BackendSpec::flat(),
+        BackendSpec::congest(),
+        MAX_ROUNDS,
+        None,
+    );
+    artifact.edges.push((2, 2));
+    let dir = std::env::temp_dir().join(format!("arbmis-replay-loop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("artifact.json");
+    std::fs::write(&path, artifact.to_json()).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_arbmis"))
+        .args(["replay", "--input", path.to_str().unwrap()])
+        .output()
+        .expect("spawn arbmis replay");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("error: replay artifact: edge (2, 2) is a self loop"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+/// §8 differential: the flight recorder never perturbs the simulator.
+/// Transcripts, metrics, and states agree with capture on and off, and
+/// the captured bytes are a pure function of the run.
+#[test]
+fn flight_capture_is_observation_only() {
     let g = graph(GraphFamily::GnpAvgDegree { d: 5.0 }, 150, 23);
     let seed = 3;
     let proto = MetivierProtocol;
 
     let (base, t_base) = Simulator::new(&g, seed)
-        .with_parallelism(Parallelism::Serial)
         .run_traced(&proto, MAX_ROUNDS)
         .unwrap();
 
-    let serial_flight = FlightRecorder::bounded(1 << 16);
-    let (out, t) = Simulator::new(&g, seed)
-        .with_parallelism(Parallelism::Serial)
-        .with_flight(serial_flight.clone())
-        .run_traced(&proto, MAX_ROUNDS)
-        .unwrap();
-    assert_eq!(t.digest(), t_base.digest(), "serial: digest with flight on");
-    assert_eq!(out.metrics, base.metrics, "serial: metrics with flight on");
+    let capture = || {
+        let flight = FlightRecorder::bounded(1 << 16);
+        let (out, t) = Simulator::new(&g, seed)
+            .with_flight(flight.clone())
+            .run_traced(&proto, MAX_ROUNDS)
+            .unwrap();
+        (out, t, flight.to_jsonl())
+    };
+    let (out, t, bytes) = capture();
+    assert_eq!(t.digest(), t_base.digest(), "digest with flight on");
+    assert_eq!(out.metrics, base.metrics, "metrics with flight on");
     let project = |states: &[arbmis::core::protocols::MisNodeState]| -> Vec<(bool, bool)> {
         states.iter().map(|s| (s.in_mis, s.active)).collect()
     };
     assert_eq!(project(&out.states), project(&base.states));
-    let serial_bytes = serial_flight.to_jsonl();
-    assert!(
-        serial_bytes.lines().count() > 1,
-        "captured at least a round"
-    );
-
-    for threads in [1, 2, 4, 8] {
-        let flight = FlightRecorder::bounded(1 << 16);
-        let (par, t_par) = Simulator::new(&g, seed)
-            .with_parallelism(Parallelism::Threads(threads))
-            .with_flight(flight.clone())
-            .run_parallel_traced(&proto, MAX_ROUNDS)
-            .unwrap();
-        assert_eq!(
-            t_par.digest(),
-            t_base.digest(),
-            "{threads} threads: transcript digest with flight on"
-        );
-        assert_eq!(
-            par.metrics, base.metrics,
-            "{threads} threads: metrics with flight on"
-        );
-        assert_eq!(project(&par.states), project(&base.states));
-        assert_eq!(
-            flight.to_jsonl(),
-            serial_bytes,
-            "{threads} threads: flight bytes must be engine-independent"
-        );
-    }
+    assert!(bytes.lines().count() > 1, "captured at least a round");
+    assert_eq!(capture().2, bytes, "flight bytes must be reproducible");
 }
 
 /// The cross-backend-stable flight columns: for the same graph, seed,

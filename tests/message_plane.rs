@@ -4,19 +4,17 @@
 //! per-edge-clone, sort-every-round implementation) via
 //! `cargo run -p arbmis-bench --example golden_capture`. The refactored
 //! plane must reproduce every fingerprint bit-for-bit — transcript digest,
-//! metrics, and final node states — serially and at every thread count.
+//! metrics, and final node states.
 //!
 //! A separate regression test ([`inbox_delivery_is_sorted_by_sender`])
 //! checks the invariant that replaced the deleted per-round sorts: inboxes
 //! arrive ascending by sender id, with exactly one entry per sending
 //! neighbor, for both broadcast and unicast traffic.
 
-use arbmis::congest::{Inbox, NodeInfo, Outgoing, Parallelism, Protocol, Simulator};
+use arbmis::congest::{Inbox, NodeInfo, Outgoing, Protocol, Simulator};
 use arbmis::core::protocols::{GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState};
 use arbmis::graph::{gen, Graph, NodeId};
 use rand::SeedableRng;
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn fnv(mut h: u64, x: u64) -> u64 {
     h ^= x;
@@ -92,80 +90,52 @@ fn workload(name: &str) -> (Graph, u64, u8) {
     }
 }
 
-fn check_golden(name: &str, parallelism: Option<usize>) {
+fn check_golden(name: &str) {
     let &(_, digest, rounds, messages, bits, max_message_bits, state_fp) = GOLDEN
         .iter()
         .find(|g| g.0 == name)
         .expect("unknown workload");
     let (g, seed, which) = workload(name);
-    let sim = match parallelism {
-        None => Simulator::new(&g, seed).with_parallelism(Parallelism::Serial),
-        Some(t) => Simulator::new(&g, seed).with_parallelism(Parallelism::Threads(t)),
-    };
-    let run_traced = |sim: Simulator| match which {
-        0 => match parallelism {
-            None => sim.run_traced(&MetivierProtocol, 100_000),
-            Some(_) => sim.run_parallel_traced(&MetivierProtocol, 100_000),
-        },
-        1 => match parallelism {
-            None => sim.run_traced(&LubyProtocol, 100_000),
-            Some(_) => sim.run_parallel_traced(&LubyProtocol, 100_000),
-        },
-        _ => match parallelism {
-            None => sim.run_traced(&GhaffariProtocol, 100_000),
-            Some(_) => sim.run_parallel_traced(&GhaffariProtocol, 100_000),
-        },
-    };
-    let (run, t) = run_traced(sim).unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
-    let mode = match parallelism {
-        None => "serial".to_string(),
-        Some(t) => format!("{t} threads"),
-    };
-    assert_eq!(t.digest(), digest, "{name} [{mode}]: transcript digest");
-    assert_eq!(run.metrics.rounds, rounds, "{name} [{mode}]: rounds");
-    assert_eq!(run.metrics.messages, messages, "{name} [{mode}]: messages");
-    assert_eq!(run.metrics.bits, bits, "{name} [{mode}]: bits");
+    let sim = Simulator::new(&g, seed);
+    let (run, t) = match which {
+        0 => sim.run_traced(&MetivierProtocol, 100_000),
+        1 => sim.run_traced(&LubyProtocol, 100_000),
+        _ => sim.run_traced(&GhaffariProtocol, 100_000),
+    }
+    .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
+    assert_eq!(t.digest(), digest, "{name}: transcript digest");
+    assert_eq!(run.metrics.rounds, rounds, "{name}: rounds");
+    assert_eq!(run.metrics.messages, messages, "{name}: messages");
+    assert_eq!(run.metrics.bits, bits, "{name}: bits");
     assert_eq!(
         run.metrics.max_message_bits, max_message_bits,
-        "{name} [{mode}]: max_message_bits"
+        "{name}: max_message_bits"
     );
     assert_eq!(
         state_fingerprint(&run.states),
         state_fp,
-        "{name} [{mode}]: state fingerprint"
+        "{name}: state fingerprint"
     );
 }
 
 #[test]
 fn golden_gnp300_dense_metivier() {
-    check_golden("gnp300_dense_metivier", None);
-    for t in THREADS {
-        check_golden("gnp300_dense_metivier", Some(t));
-    }
+    check_golden("gnp300_dense_metivier");
 }
 
 #[test]
 fn golden_gnp150_half_luby() {
-    check_golden("gnp150_half_luby", None);
-    for t in THREADS {
-        check_golden("gnp150_half_luby", Some(t));
-    }
+    check_golden("gnp150_half_luby");
 }
 
 #[test]
 fn golden_star400_metivier() {
-    check_golden("star400_metivier", None);
-    for t in THREADS {
-        check_golden("star400_metivier", Some(t));
-    }
+    check_golden("star400_metivier");
 }
 
 #[test]
 fn golden_star257_ghaffari() {
-    check_golden("star257_ghaffari", None);
-    for t in THREADS {
-        check_golden("star257_ghaffari", Some(t));
-    }
+    check_golden("star257_ghaffari");
 }
 
 // --------------------------------------------------------------- ordering
@@ -233,23 +203,10 @@ fn inbox_delivery_is_sorted_by_sender() {
         gen::complete(40),
     ];
     for g in &graphs {
-        let serial = Simulator::new(g, 5)
-            .with_parallelism(Parallelism::Serial)
-            .run(&OrderProbe, 10)
-            .unwrap();
+        let run = Simulator::new(g, 5).run(&OrderProbe, 10).unwrap();
         assert!(
-            serial.states.iter().all(|s| s.ok),
-            "serial delivery out of order on {g}"
+            run.states.iter().all(|s| s.ok),
+            "delivery out of order on {g}"
         );
-        for t in THREADS {
-            let par = Simulator::new(g, 5)
-                .with_parallelism(Parallelism::Threads(t))
-                .run_parallel(&OrderProbe, 10)
-                .unwrap();
-            assert!(
-                par.states.iter().all(|s| s.ok),
-                "parallel delivery out of order on {g} at {t} threads"
-            );
-        }
     }
 }

@@ -1,10 +1,10 @@
 //! End-to-end tests of the observability layer (DESIGN.md §8): a real
 //! ArbMIS run must surface every pipeline phase span and the promised
-//! histograms/gauges through both sinks, the CONGEST engines must expose
-//! per-round histograms and worker utilization, and attaching a recorder
-//! must never perturb results.
+//! histograms/gauges through both sinks, the CONGEST engine must expose
+//! per-round histograms, and attaching a recorder must never perturb
+//! results.
 
-use arbmis::congest::{Parallelism, Simulator};
+use arbmis::congest::Simulator;
 use arbmis::core::arb_mis::{arb_mis_with, ArbMisConfig};
 use arbmis::core::protocols::MetivierProtocol;
 use arbmis::graph::gen::{GraphFamily, GraphSpec};
@@ -84,11 +84,10 @@ fn arbmis_run_exports_phase_spans_and_histograms() {
     }
 }
 
-/// The CONGEST engines export per-round message/bit histograms; the
-/// parallel engine additionally exports worker-utilization gauges when
-/// wall-clock timing is on.
+/// The CONGEST engine exports per-round message/bit histograms, plus a
+/// per-round wall-time histogram when wall-clock timing is on.
 #[test]
-fn congest_engines_export_round_histograms_and_worker_gauges() {
+fn congest_engine_exports_round_histograms() {
     let g = graph(GraphFamily::GnpAvgDegree { d: 5.0 }, 200, 22);
     let rec = Recorder::deterministic();
     let run = Simulator::new(&g, 7)
@@ -108,45 +107,34 @@ fn congest_engines_export_round_histograms_and_worker_gauges() {
     assert!(prom.contains("# TYPE congest_round_messages histogram"));
     assert!(prom.contains("# TYPE congest_message_bits histogram"));
     // Deterministic recorder: no timing-class series leak into the sinks.
-    assert!(!prom.contains("worker_"));
     assert!(!prom.contains("_ns"));
 
-    // Timing recorder + parallel engine: worker utilization appears.
+    // Timing recorder: the per-round wall-time histogram appears.
     let rec = Recorder::new();
     Simulator::new(&g, 7)
-        .with_parallelism(Parallelism::Threads(4))
         .with_recorder(rec.clone())
-        .run_parallel(&MetivierProtocol, 50_000)
+        .run(&MetivierProtocol, 50_000)
         .unwrap();
-    let snap = rec.snapshot();
-    assert!(
-        snap.gauge_value("worker_chunks{worker=\"0\"}").is_some(),
-        "missing worker utilization gauges: {:?}",
-        snap.gauges
-    );
-    let prom = snap.to_prometheus();
-    assert!(prom.contains("worker_chunks{worker=\"0\"}"));
-    assert!(prom.contains("worker_busy_ns{worker=\"0\"}"));
-    assert!(prom.contains("# TYPE congest_round_time_ns histogram"));
+    assert!(rec
+        .snapshot()
+        .to_prometheus()
+        .contains("# TYPE congest_round_time_ns histogram"));
 }
 
 /// Observability on/off never changes a traced run: digests and metrics
-/// are bit-identical at every thread count (acceptance criterion).
+/// are bit-identical (acceptance criterion).
 #[test]
 fn digests_and_metrics_identical_with_observability_on_and_off() {
     let g = graph(GraphFamily::Apollonian, 250, 23);
     let (off, t_off) = Simulator::new(&g, 3)
         .run_traced(&MetivierProtocol, 50_000)
         .unwrap();
-    for threads in [1, 2, 8] {
-        let rec = Recorder::new();
-        let sim = Simulator::new(&g, 3)
-            .with_parallelism(Parallelism::Threads(threads))
-            .with_recorder(rec);
-        let (on, t_on) = sim.run_parallel_traced(&MetivierProtocol, 50_000).unwrap();
-        assert_eq!(t_on.digest(), t_off.digest(), "threads={threads}");
-        assert_eq!(on.metrics, off.metrics, "threads={threads}");
-    }
+    let (on, t_on) = Simulator::new(&g, 3)
+        .with_recorder(Recorder::new())
+        .run_traced(&MetivierProtocol, 50_000)
+        .unwrap();
+    assert_eq!(t_on.digest(), t_off.digest());
+    assert_eq!(on.metrics, off.metrics);
 }
 
 /// The Monte-Carlo driver reports trial batches through the process-wide

@@ -2,9 +2,7 @@
 //! substrate invariants over arbitrary random graphs.
 
 use arbmis::congest::message::{self, DecodeError, Message};
-use arbmis::congest::{
-    Inbox, NodeInfo, Outgoing, Parallelism, Protocol, Simulator, SimulatorError,
-};
+use arbmis::congest::{Inbox, NodeInfo, Outgoing, Protocol, Simulator, SimulatorError};
 use arbmis::core::protocols::MisMsg;
 use arbmis::core::{arb_mis, check_mis, ghaffari, greedy, luby, metivier, ArbMisConfig};
 use arbmis::graph::orientation::{degeneracy_ordering, Orientation};
@@ -468,13 +466,6 @@ proptest! {
             }
             other => return Err(TestCaseError::fail(format!("expected BandwidthExceeded, got {other:?}"))),
         }
-        // The parallel engine enforces the identical boundary.
-        let par = sim.with_parallelism(Parallelism::Threads(4));
-        prop_assert!(par.run_parallel(&OneShot { bits: budget }, 4).is_ok());
-        prop_assert!(matches!(
-            par.run_parallel(&OneShot { bits: budget + 1 }, 4),
-            Err(SimulatorError::BandwidthExceeded { .. })
-        ));
     }
 }
 
