@@ -1,15 +1,14 @@
 //! Process-global MIS backend selection for the experiment suite.
 //!
-//! The experiments report *fast-path* round counts (`iterations × 3`).
-//! Routing them through [`arbmis_flat`]'s backends must not change a
-//! single byte of any report — the backends are round-identical to the
-//! fast path modulo the final all-halt round they honestly count — so
-//! the helpers here convert backend round counts back to the fast-path
-//! convention. What *does* change is the cell cache key: executions by
-//! different backends are distinct cache entries (see
-//! EXPERIMENTS.md), keyed by [`key_suffix`].
+//! The experiments report the paper's round counts (`iterations × 3`).
+//! Both engines count the final all-halt round as well, so the helpers
+//! here convert through [`paper_rounds`]; routing the baselines through
+//! either engine must not change a single byte of any report. What
+//! *does* change is the cell cache key: executions by different backends
+//! are distinct cache entries (see EXPERIMENTS.md), keyed by
+//! [`key_suffix`].
 
-use arbmis_core::{luby, metivier};
+use arbmis_core::flat::paper_rounds;
 use arbmis_flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend};
 use arbmis_graph::Graph;
 use std::str::FromStr;
@@ -18,22 +17,20 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Which engine executes the Luby/Métivier baselines in experiments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MisBackendChoice {
-    /// Centralized fast path (`luby::run` / `metivier::run`).
+    /// The flat shared-memory engine (what `luby::run` /
+    /// `metivier::run` drive).
     #[default]
-    Fast,
+    Flat,
     /// The CONGEST message-passing simulator.
     Congest,
-    /// The flat shared-memory backend.
-    Flat,
 }
 
 impl MisBackendChoice {
     /// Stable name used in cache keys and `--backend` values.
     pub fn label(self) -> &'static str {
         match self {
-            MisBackendChoice::Fast => "fast",
-            MisBackendChoice::Congest => "congest",
             MisBackendChoice::Flat => "flat",
+            MisBackendChoice::Congest => "congest",
         }
     }
 }
@@ -43,11 +40,10 @@ impl FromStr for MisBackendChoice {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "fast" => Ok(MisBackendChoice::Fast),
-            "congest" => Ok(MisBackendChoice::Congest),
             "flat" => Ok(MisBackendChoice::Flat),
+            "congest" => Ok(MisBackendChoice::Congest),
             other => Err(format!(
-                "unknown backend {other:?} (expected fast, congest, or flat)"
+                "unknown backend {other:?} (expected flat or congest)"
             )),
         }
     }
@@ -65,8 +61,7 @@ pub fn set_choice(c: MisBackendChoice) {
 pub fn choice() -> MisBackendChoice {
     match CHOICE.load(Ordering::Relaxed) {
         1 => MisBackendChoice::Congest,
-        2 => MisBackendChoice::Flat,
-        _ => MisBackendChoice::Fast,
+        _ => MisBackendChoice::Flat,
     }
 }
 
@@ -79,77 +74,63 @@ pub fn key_suffix() -> String {
 
 const MAX_ROUNDS: u64 = 10_000_000;
 
-/// Backend round counts include the final all-halt round (`3I + 1`);
-/// the fast path reports `3I`. Empty graphs finish in 0 rounds on both.
-fn fast_equivalent_rounds(backend_rounds: u64) -> u64 {
-    debug_assert!(backend_rounds == 0 || backend_rounds % 3 == 1);
-    backend_rounds.saturating_sub(1)
-}
-
 fn routed_rounds(g: &Graph, seed: u64, algo: FlatAlgo) -> u64 {
     let rounds = match choice() {
-        MisBackendChoice::Fast => unreachable!("fast path handled by caller"),
-        MisBackendChoice::Congest => {
-            CongestBackend::new(g, seed, algo)
-                .run(MAX_ROUNDS)
-                .expect("congest backend run failed")
-                .rounds
-        }
         MisBackendChoice::Flat => {
             FlatBackend::new(g, seed, algo)
                 .run(MAX_ROUNDS)
                 .expect("flat backend run failed")
                 .rounds
         }
+        MisBackendChoice::Congest => {
+            CongestBackend::new(g, seed, algo)
+                .run(MAX_ROUNDS)
+                .expect("congest backend run failed")
+                .rounds
+        }
     };
-    fast_equivalent_rounds(rounds)
+    paper_rounds(rounds)
 }
 
-/// Luby round count under the active backend (fast-path convention).
+/// Luby round count under the active backend (paper convention).
 pub fn luby_rounds(g: &Graph, seed: u64) -> u64 {
-    match choice() {
-        MisBackendChoice::Fast => luby::run(g, seed).rounds,
-        _ => routed_rounds(g, seed, FlatAlgo::Luby),
-    }
+    routed_rounds(g, seed, FlatAlgo::Luby)
 }
 
-/// Métivier round count under the active backend (fast-path convention).
+/// Métivier round count under the active backend (paper convention).
 pub fn metivier_rounds(g: &Graph, seed: u64) -> u64 {
-    match choice() {
-        MisBackendChoice::Fast => metivier::run(g, seed).rounds,
-        _ => routed_rounds(g, seed, FlatAlgo::Metivier),
-    }
+    routed_rounds(g, seed, FlatAlgo::Metivier)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arbmis_core::{luby, metivier};
     use arbmis_graph::gen;
 
-    /// All three backends must report identical fast-convention rounds —
-    /// this is the invariant that keeps experiment reports byte-identical
-    /// across `--backend` values. One test (not several) because the
-    /// choice is process-global.
+    /// Both backends must report the rounds `luby::run` / `metivier::run`
+    /// do — this is the invariant that keeps experiment reports
+    /// byte-identical across `--backend` values. One test (not several)
+    /// because the choice is process-global.
     #[test]
-    fn routed_rounds_match_fast_path() {
+    fn routed_rounds_match_the_drivers() {
         let g = gen::cycle(40);
         for seed in [1, 7] {
-            let fast_l = luby::run(&g, seed).rounds;
-            let fast_m = metivier::run(&g, seed).rounds;
+            let want_l = luby::run(&g, seed).rounds;
+            let want_m = metivier::run(&g, seed).rounds;
             for c in [MisBackendChoice::Congest, MisBackendChoice::Flat] {
                 set_choice(c);
-                assert_eq!(luby_rounds(&g, seed), fast_l, "{c:?} luby");
-                assert_eq!(metivier_rounds(&g, seed), fast_m, "{c:?} metivier");
+                assert_eq!(luby_rounds(&g, seed), want_l, "{c:?} luby");
+                assert_eq!(metivier_rounds(&g, seed), want_m, "{c:?} metivier");
             }
-            set_choice(MisBackendChoice::Fast);
-            assert_eq!(luby_rounds(&g, seed), fast_l);
         }
 
-        set_choice(MisBackendChoice::Flat);
         assert_eq!(key_suffix(), ";backend=flat");
-        set_choice(MisBackendChoice::Fast);
-        assert_eq!(key_suffix(), ";backend=fast");
+        set_choice(MisBackendChoice::Congest);
+        assert_eq!(key_suffix(), ";backend=congest");
+        set_choice(MisBackendChoice::Flat);
         assert!("bogus".parse::<MisBackendChoice>().is_err());
+        assert!("fast".parse::<MisBackendChoice>().is_err());
         assert_eq!(
             "congest".parse::<MisBackendChoice>().unwrap(),
             MisBackendChoice::Congest

@@ -18,8 +18,9 @@
 //! experiments --perfetto-out t.json # Chrome trace-event (Perfetto) export
 //! experiments --flight        # bounded per-round flight recorder, dumped
 //!                             # to stderr on panic (--flight-out saves it)
-//! experiments --backend flat  # route Luby/Métivier baselines through a
-//!                             # MisBackend engine (fast|congest|flat);
+//! experiments --backend congest # run the E9 Luby/Métivier baselines on
+//!                             # the CONGEST simulator instead of the flat
+//!                             # engine (flat|congest, default flat);
 //!                             # reports are byte-identical, cache keys
 //!                             # differ (DESIGN.md §11)
 //! ```
@@ -78,7 +79,7 @@ fn parse_args() -> Args {
         perfetto_out: None,
         flight: false,
         flight_out: None,
-        backend: MisBackendChoice::Fast,
+        backend: MisBackendChoice::Flat,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -111,7 +112,7 @@ fn parse_args() -> Args {
                 args.flight_out = Some(it.next().expect("--flight-out needs a path"));
             }
             "--backend" => {
-                let v = it.next().expect("--backend needs fast, congest, or flat");
+                let v = it.next().expect("--backend needs flat or congest");
                 args.backend = v.parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     std::process::exit(2);
@@ -125,7 +126,7 @@ fn parse_args() -> Args {
                     "usage: experiments [--list] [--quick] [--markdown] [--json PATH] \
                      [--threads N] [--cache-dir PATH] [--no-cache] [--metrics-out PATH] \
                      [--trace-out PATH] [--perfetto-out PATH] [--flight] [--flight-out PATH] \
-                     [--backend fast|congest|flat] [--exp E1 E2 ...]"
+                     [--backend flat|congest] [--exp E1 E2 ...]"
                 );
                 std::process::exit(0);
             }
@@ -145,7 +146,7 @@ fn main() {
     let args = parse_args();
     // Before building plans: cell keys embed the backend label.
     arbmis_bench::backend::set_choice(args.backend);
-    if args.backend != MisBackendChoice::Fast {
+    if args.backend != MisBackendChoice::default() {
         eprintln!("[experiments] backend: {}", args.backend.label());
     }
     let registry = arbmis_bench::exps::all();

@@ -75,21 +75,6 @@ impl Frontier {
         }
     }
 
-    /// Calls `f` with each word index that currently holds set bits, in
-    /// ascending order. This is the summary-walk [`clear`](Self::clear)
-    /// uses; scratch masks that shadow a frontier (the flat engine's
-    /// defeat mask) reuse it to reset only the words a sweep can touch.
-    pub fn for_each_dirty_word(&self, mut f: impl FnMut(usize)) {
-        for (s, &sw) in self.summary.iter().enumerate() {
-            let mut sbits = sw;
-            while sbits != 0 {
-                let w = (s << 6) + sbits.trailing_zeros() as usize;
-                sbits &= sbits - 1;
-                f(w);
-            }
-        }
-    }
-
     /// Empties the set, touching only dirty words.
     pub fn clear(&mut self) {
         let words = self.mask.words_mut();

@@ -8,7 +8,13 @@
 //! of the competition — the device that makes the node-vs-parent event a
 //! read-ρ_k family, Theorem 3.2). After the `Λ` iterations, any node with
 //! more than `Δ/2^{k+2}` high-degree active neighbors is exiled to the
-//! "bad" set `B` (step 2(b)), enforcing the Invariant by construction.
+//! "bad" set `B` (step 2(b)), enforcing the Invariant by construction:
+//!
+//! > **Invariant.** At the end of scale `k`, for all `v ∈ VIB`:
+//! > `|{w ∈ Γ_IB(v) : deg_IB(w) > Δ/2^k + α}| ≤ Δ/2^{k+2}`.
+//!
+//! The analysis shows violators are rare (`Pr ≤ 1/Δ^{2p}`, Theorem 3.6);
+//! the run records the Invariant's per-scale headroom.
 //!
 //! The algorithm returns the independent-but-not-maximal set `I`, the bad
 //! set `B`, and the residual active set `VIB`; Algorithm 2
@@ -16,10 +22,11 @@
 //! needs an edge orientation or forest decomposition — those exist only in
 //! the analysis.
 
+use crate::flat::{self, FlatAlgo, FlatBackend, MisBackend};
 use crate::params::{ArbParams, ParamMode};
 use crate::trace::ScaleTrace;
 use arbmis_congest::rng;
-use arbmis_graph::{ActiveView, Graph, NodeId};
+use arbmis_graph::{Graph, NodeId};
 use arbmis_obs::{Histogram, Recorder};
 use serde::{Deserialize, Serialize};
 
@@ -143,70 +150,56 @@ pub fn bounded_arb_independent_set_with(
     let obs = rec.enabled();
     let mut joiners_hist = Histogram::new();
     let params = ArbParams::new(cfg.alpha, g.max_degree(), cfg.mode);
-    let mut view = ActiveView::new(g);
-    let mut in_mis = vec![false; g.n()];
-    let mut bad = vec![false; g.n()];
+    let algo = FlatAlgo::BoundedArb {
+        params,
+        rho_cutoff: cfg.rho_cutoff,
+    };
+    let mut b = flat::driver_engine(g, cfg.seed, algo, None);
     let mut trace = Vec::with_capacity(params.theta as usize);
-    let mut global_iter = 0u64;
-    let mut prio = vec![0u64; g.n()];
 
+    // The engine runs the oblivious schedule one scale (3Λ + 2 rounds)
+    // at a time: exactly Λ iterations per scale, then step 2(b)'s degree
+    // exchange and bad exits. Once every node has halted the rest of the
+    // schedule is empty, so its iterations observe 0 joiners.
     for k in 1..=params.theta {
-        let rho = params.rho(k);
-        let active_start = view.active_count();
+        let active_start = b.active_count();
         let mut joined = 0usize;
-        let mut eliminated = 0usize;
         let mut joined_per_iteration = Vec::new();
-
-        // The schedule is oblivious: exactly Λ iterations run per scale
-        // (the paper's algorithm never adaptively stops), so iteration
-        // indices — and hence priority draws — are a pure function of the
-        // schedule. This keeps the fast path and the CONGEST protocol
-        // bit-identical. Empty iterations only bump the counter.
         for _ in 0..params.lambda {
-            if view.active_count() > 0 {
-                let joiners = iteration_joiners(&view, cfg, rho, global_iter, &mut prio);
-                if cfg.record_iterations {
-                    joined_per_iteration.push(joiners.len());
-                }
-                if obs {
-                    joiners_hist.observe(joiners.len() as u64);
-                }
-                for &v in &joiners {
-                    in_mis[v] = true;
-                    joined += 1;
-                    let nbrs: Vec<NodeId> = view.active_neighbors(v).collect();
-                    view.deactivate(v);
-                    for u in nbrs {
-                        eliminated += 1;
-                        view.deactivate(u);
-                    }
-                }
-            } else {
-                if cfg.record_iterations {
-                    joined_per_iteration.push(0);
-                }
-                if obs {
-                    joiners_hist.observe(0);
-                }
+            let joiners: usize = (0..ROUNDS_PER_ITERATION)
+                .map(|_| step_unless_done(&mut b))
+                .sum();
+            joined += joiners;
+            if cfg.record_iterations {
+                joined_per_iteration.push(joiners);
             }
-            global_iter += 1;
+            if obs {
+                joiners_hist.observe(joiners as u64);
+            }
         }
 
-        // Step 2(b): exile Invariant violators to B.
-        let violators = crate::invariant::invariant_violators(&view, &params, k);
-        for &v in &violators {
-            bad[v] = true;
-            view.deactivate(v);
+        // Step 2(b): Invariant violators exit to B.
+        let before_exile = b.active_count();
+        for _ in 0..ROUNDS_PER_SCALE_END {
+            step_unless_done(&mut b);
         }
+        let active_end = b.active_count();
+        let bad_marked = before_exile - active_end;
 
         if obs {
-            rec.point("scale_bad_marked", violators.len() as u64);
-            // Headroom of the Invariant check after exile: the bad
-            // threshold Δ/2^{k+2} minus the worst surviving node's
-            // high-degree neighbor count (≥ 0 by construction of 2(b)).
-            let worst = view
+            rec.point("scale_bad_marked", bad_marked as u64);
+            // Headroom of the Invariant after exile: the bad threshold
+            // Δ/2^{k+2} minus the worst surviving node's count of active
+            // neighbors above Δ/2^k + α (≥ 0 by construction of 2(b)).
+            let high = params.high_degree_threshold(k);
+            let worst = b
                 .active_nodes()
-                .map(|v| crate::invariant::high_degree_neighbor_count(&view, &params, k, v))
+                .map(|v| {
+                    g.neighbors(v)
+                        .iter()
+                        .filter(|&&w| b.is_active(w) && b.active_degree(w) as f64 > high)
+                        .count()
+                })
                 .max()
                 .unwrap_or(0);
             rec.gauge(
@@ -217,19 +210,23 @@ pub fn bounded_arb_independent_set_with(
 
         trace.push(ScaleTrace {
             k,
-            rho,
+            rho: params.rho(k),
             iterations: params.lambda,
             active_start,
-            active_end: view.active_count(),
+            active_end,
             joined,
-            eliminated,
-            bad_marked: violators.len(),
-            max_active_degree_end: view.max_active_degree(),
+            eliminated: active_start - active_end - joined - bad_marked,
+            bad_marked,
+            max_active_degree_end: b
+                .active_nodes()
+                .map(|v| b.active_degree(v))
+                .max()
+                .unwrap_or(0),
             joined_per_iteration,
         });
     }
 
-    let iterations = global_iter;
+    let iterations = params.total_iterations();
     let rounds = iterations * ROUNDS_PER_ITERATION + u64::from(params.theta) * ROUNDS_PER_SCALE_END;
     if obs {
         rec.add("arbmis_shatter_iterations", iterations);
@@ -237,10 +234,14 @@ pub fn bounded_arb_independent_set_with(
         rec.merge_histogram("arbmis_scale_joiners", &joiners_hist);
         rec.point("rounds", rounds);
     }
+    let mut active = vec![false; g.n()];
+    for v in b.active_nodes() {
+        active[v] = true;
+    }
     ShatterOutcome {
-        in_mis,
-        bad,
-        active: view.mask().to_vec(),
+        in_mis: b.mis().to_bools(),
+        bad: b.bad().to_bools(),
+        active,
         iterations,
         rounds,
         params,
@@ -248,42 +249,14 @@ pub fn bounded_arb_independent_set_with(
     }
 }
 
-/// One iteration's joiners: competitive nodes beating all active
-/// neighbors, with `(priority, id)` tie-break. Non-competitive nodes have
-/// priority 0 and can neither join nor block a competitive neighbor —
-/// except against other priority-0 nodes, which simply never join,
-/// matching the paper (a node joins only on a *strictly greater*
-/// priority, and `0 > 0` is false; our `(0, id)` comparison would let a
-/// 0-priority node "beat" another, so competitiveness is required
-/// explicitly).
-///
-/// Each active node's priority is drawn once into `prio` (indexed by
-/// node, reused across iterations) rather than once per incident edge.
-fn iteration_joiners(
-    view: &ActiveView<'_>,
-    cfg: &BoundedArbConfig,
-    rho: f64,
-    iter: u64,
-    prio: &mut [u64],
-) -> Vec<NodeId> {
-    let n = view.graph().n();
-    let competitive =
-        |v: NodeId| -> bool { !cfg.rho_cutoff || (view.active_degree(v) as f64) <= rho };
-    for v in view.active_nodes() {
-        prio[v] = if competitive(v) {
-            draw_priority(cfg.seed, v, iter, n)
-        } else {
-            0
-        };
+/// Steps one engine round unless every node has already halted; returns
+/// the round's joiner count.
+fn step_unless_done(b: &mut FlatBackend<'_>) -> usize {
+    if b.is_done() {
+        return 0;
     }
-    view.active_nodes()
-        .filter(|&v| {
-            competitive(v)
-                && view
-                    .active_neighbors(v)
-                    .all(|u| (prio[v], v) > (prio[u], u))
-        })
-        .collect()
+    b.step_round().expect("the flat engine never fails");
+    b.joiners().len()
 }
 
 #[cfg(test)]
@@ -461,7 +434,7 @@ mod tests {
     /// off (off is the E12 ablation), so a rewrite of the joiner
     /// selection must keep every draw and comparison. On these families
     /// the practical-mode cutoff never binds, so both settings pin the
-    /// same digest; `buffered_joiners_match_per_edge_rule` forces it.
+    /// same digest.
     #[test]
     fn shattering_golden_digests() {
         use arbmis_graph::digest::Fnv128;
@@ -493,69 +466,6 @@ mod tests {
                 (&out.in_mis, &out.bad, &out.active, out.rounds, &out.trace)
             ));
             assert_eq!(h.hex(), want, "{name} rho_cutoff={rho_cutoff}");
-        }
-    }
-
-    /// The per-edge joiner rule `iteration_joiners` replaced: every
-    /// comparison re-draws the neighbor's priority.
-    fn iteration_joiners_reference(
-        view: &ActiveView<'_>,
-        cfg: &BoundedArbConfig,
-        rho: f64,
-        iter: u64,
-    ) -> Vec<NodeId> {
-        let n = view.graph().n();
-        let competitive =
-            |v: NodeId| -> bool { !cfg.rho_cutoff || (view.active_degree(v) as f64) <= rho };
-        let pri = |v: NodeId| -> (u64, NodeId) {
-            if competitive(v) {
-                (draw_priority(cfg.seed, v, iter, n), v)
-            } else {
-                (0, v)
-            }
-        };
-        view.active_nodes()
-            .filter(|&v| {
-                competitive(v) && {
-                    let pv = pri(v);
-                    view.active_neighbors(v).all(|u| pv > pri(u))
-                }
-            })
-            .collect()
-    }
-
-    /// The buffered joiner selection equals the per-edge rule with ρ
-    /// forced low enough that many nodes opt out (the golden runs above
-    /// never reach a binding cutoff), over shrinking active sets.
-    #[test]
-    fn buffered_joiners_match_per_edge_rule() {
-        let g = gen::apollonian(2000, &mut rng(41));
-        for rho_cutoff in [true, false] {
-            let cfg = BoundedArbConfig {
-                rho_cutoff,
-                ..BoundedArbConfig::new(3, 23)
-            };
-            let mut view = ActiveView::new(&g);
-            let mut prio = vec![0u64; g.n()];
-            let mut opted_out = 0;
-            for iter in 0..12 {
-                let rho = [2.0, 4.0, 6.5][iter as usize % 3];
-                opted_out += view
-                    .active_nodes()
-                    .filter(|&v| view.active_degree(v) as f64 > rho)
-                    .count();
-                let want = iteration_joiners_reference(&view, &cfg, rho, iter);
-                let got = iteration_joiners(&view, &cfg, rho, iter, &mut prio);
-                assert_eq!(got, want, "rho_cutoff={rho_cutoff} iter={iter}");
-                for &v in &got {
-                    let nbrs: Vec<NodeId> = view.active_neighbors(v).collect();
-                    view.deactivate(v);
-                    for u in nbrs {
-                        view.deactivate(u);
-                    }
-                }
-            }
-            assert!(opted_out > 0);
         }
     }
 

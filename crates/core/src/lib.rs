@@ -26,24 +26,29 @@
 //! * [`cole_vishkin`] — deterministic coin tossing: O(log* n) forest
 //!   3-coloring and the color-sweep MIS for small components.
 //!
-//! Every randomized algorithm has two interchangeable executions drawing
+//! Luby, Métivier and Algorithm 1 have two executions drawing
 //! *identical* random bits:
 //!
-//! 1. a **fast path** (`run` functions) — centralized simulation that
-//!    reports CONGEST round counts analytically; and
+//! 1. the **flat engine** ([`flat::FlatBackend`]) — the one centralized
+//!    executor, sweeping word-packed frontiers over the CSR; the `run`
+//!    functions are short drivers of it that report the paper's round
+//!    counts (`3·I` for Luby and Métivier, the oblivious `Θ·(3Λ + 2)`
+//!    schedule for Algorithm 1); and
 //! 2. a **CONGEST protocol** ([`protocols`]) — runs on
 //!    [`arbmis_congest::Simulator`] with real message passing and
 //!    per-message bit accounting.
 //!
-//! Tests assert the two produce identical independent sets.
+//! The two are round-identical (DESIGN.md §11; `arbmis-flat` steps them
+//! in lockstep). Ghaffari keeps its own centralized `run` beside its
+//! protocol, and tests assert the two produce identical sets.
 
 pub mod arb_mis;
 pub mod bounded_arb;
 pub mod cole_vishkin;
+pub mod flat;
 pub mod forest_decomp;
 pub mod ghaffari;
 pub mod greedy;
-pub mod invariant;
 pub mod luby;
 pub mod metivier;
 pub mod params;
@@ -55,6 +60,6 @@ pub mod verify;
 
 pub use arb_mis::{arb_mis, ArbMisConfig, ArbMisOutcome, PhaseRounds};
 pub use bounded_arb::{bounded_arb_independent_set, BoundedArbConfig, ShatterOutcome};
-pub use params::{ArbParams, ParamMode};
+pub use params::{ArbParams, ParamMode, ScheduleError};
 pub use result::MisRun;
 pub use verify::{check_mis, is_independent, is_maximal, is_valid_mis, MisError};

@@ -42,6 +42,30 @@ impl Default for ParamMode {
     }
 }
 
+/// Why an [`ArbParams`] schedule read from outside (a replay artifact)
+/// cannot run; [`ArbParams::new`] never produces one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ScheduleError {
+    /// `alpha` is 0 (the arboricity bound must be at least 1).
+    ZeroAlpha,
+    /// `lambda` is 0 (every scale runs at least one iteration).
+    ZeroLambda,
+    /// The round count `theta·(3·lambda + 2)` does not fit in a `u64`.
+    Overflow,
+}
+
+impl std::fmt::Display for ScheduleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ScheduleError::ZeroAlpha => "alpha must be at least 1",
+            ScheduleError::ZeroLambda => "lambda must be at least 1",
+            ScheduleError::Overflow => "theta·(3·lambda + 2) rounds overflow u64",
+        })
+    }
+}
+
+impl std::error::Error for ScheduleError {}
+
 /// The fully-instantiated schedule for one run.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ArbParams {
@@ -128,11 +152,60 @@ impl ArbParams {
     pub fn total_iterations(&self) -> u64 {
         u64::from(self.theta) * self.lambda
     }
+
+    /// The oblivious CONGEST schedule as `(rounds per scale, total
+    /// rounds)` = `(3Λ + 2, Θ·(3Λ + 2))`, in checked arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError`] naming `alpha` or `lambda` when it is 0, or the
+    /// overflow when the round count exceeds `u64`.
+    pub fn schedule(&self) -> Result<(u64, u64), ScheduleError> {
+        if self.alpha == 0 {
+            return Err(ScheduleError::ZeroAlpha);
+        }
+        if self.lambda == 0 {
+            return Err(ScheduleError::ZeroLambda);
+        }
+        let rps = self
+            .lambda
+            .checked_mul(crate::bounded_arb::ROUNDS_PER_ITERATION)
+            .and_then(|r| r.checked_add(crate::bounded_arb::ROUNDS_PER_SCALE_END))
+            .ok_or(ScheduleError::Overflow)?;
+        let total = rps
+            .checked_mul(u64::from(self.theta))
+            .ok_or(ScheduleError::Overflow)?;
+        Ok((rps, total))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn schedule_is_checked() {
+        let p = ArbParams::new(3, 1 << 12, ParamMode::default());
+        assert_eq!(
+            p.schedule(),
+            Ok((3 * p.lambda + 2, u64::from(p.theta) * (3 * p.lambda + 2)))
+        );
+        let with = |f: fn(&mut ArbParams)| {
+            let mut q = p;
+            f(&mut q);
+            q.schedule()
+        };
+        assert_eq!(with(|q| q.alpha = 0), Err(ScheduleError::ZeroAlpha));
+        assert_eq!(with(|q| q.lambda = 0), Err(ScheduleError::ZeroLambda));
+        assert_eq!(
+            with(|q| q.lambda = u64::MAX / 3),
+            Err(ScheduleError::Overflow)
+        );
+        assert_eq!(
+            with(|q| q.lambda = u64::MAX / 4),
+            Err(ScheduleError::Overflow)
+        );
+    }
 
     #[test]
     fn faithful_lambda_matches_formula() {

@@ -1,11 +1,13 @@
 //! CONGEST protocol implementations of the randomized MIS algorithms.
 //!
-//! Each protocol is the message-passing twin of a fast-path function in
-//! this crate, drawing randomness from the *same counter-based generator*
-//! ([`arbmis_congest::rng`]) indexed by the same iteration numbers — so a
-//! protocol execution and its fast path produce **bit-identical**
-//! independent sets under the same seed. Tests in this module and the
-//! workspace integration suite assert exactly that.
+//! Each protocol is the message-passing twin of a centralized execution
+//! in this crate (the flat engine for Luby, Métivier and Algorithm 1,
+//! [`crate::ghaffari::run`] for Ghaffari), drawing randomness from the
+//! *same counter-based generator* ([`arbmis_congest::rng`]) indexed by
+//! the same iteration numbers — so the two produce **bit-identical**
+//! independent sets under the same seed. `arbmis-flat`'s lockstep tests,
+//! the Ghaffari test here and the workspace integration suite assert
+//! exactly that.
 //!
 //! All protocols share a three-sub-round iteration skeleton:
 //!
@@ -478,7 +480,8 @@ impl Protocol for BoundedArbProtocol {
 /// Runs a protocol twin over `g` on the serial CONGEST round engine.
 ///
 /// This is the canonical entry point for executing the protocol twins in
-/// this module; fast-path equivalence is stated against its output.
+/// this module; equivalence with the centralized executions is stated
+/// against its output.
 ///
 /// # Errors
 ///
@@ -533,8 +536,6 @@ impl BoundedArbProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounded_arb::{bounded_arb_independent_set, BoundedArbConfig};
-    use crate::verify::check_mis;
     use arbmis_graph::{gen, Graph};
     use rand::SeedableRng;
 
@@ -544,38 +545,6 @@ mod tests {
 
     fn extract_mis(states: &[MisNodeState]) -> Vec<bool> {
         states.iter().map(|s| s.in_mis).collect()
-    }
-
-    #[test]
-    fn metivier_protocol_matches_fast_path() {
-        let mut r = rng(1);
-        for (seed, g) in [
-            (3u64, gen::gnp(80, 0.08, &mut r)),
-            (4, gen::random_tree_prufer(120, &mut r)),
-            (5, gen::complete(15)),
-            (6, gen::cycle(40)),
-        ] {
-            let fast = metivier::run(&g, seed);
-            let run = simulate(&g, seed, &MetivierProtocol, 10_000).unwrap();
-            assert_eq!(extract_mis(&run.states), fast.in_mis, "graph {g}");
-            assert!(run.metrics.within_budget(), "budget on {g}");
-            assert!(check_mis(&g, &extract_mis(&run.states)).is_ok());
-        }
-    }
-
-    #[test]
-    fn luby_protocol_matches_fast_path() {
-        let mut r = rng(2);
-        for (seed, g) in [
-            (7u64, gen::gnp(80, 0.1, &mut r)),
-            (8, gen::star(40)),
-            (9, gen::barabasi_albert(100, 2, &mut r)),
-        ] {
-            let fast = luby::run(&g, seed);
-            let run = simulate(&g, seed, &LubyProtocol, 10_000).unwrap();
-            assert_eq!(extract_mis(&run.states), fast.in_mis, "graph {g}");
-            assert!(run.metrics.within_budget());
-        }
     }
 
     #[test]
@@ -591,55 +560,6 @@ mod tests {
             assert_eq!(extract_mis(&run.states), fast.in_mis, "graph {g}");
             assert!(run.metrics.within_budget());
         }
-    }
-
-    #[test]
-    fn bounded_arb_protocol_matches_fast_path() {
-        let mut r = rng(4);
-        for (seed, alpha, g) in [
-            (21u64, 2usize, gen::random_ktree(150, 2, &mut r)),
-            (22, 3, gen::apollonian(150, &mut r)),
-            (23, 2, gen::forest_union(200, 2, &mut r)),
-        ] {
-            let cfg = BoundedArbConfig::new(alpha, seed);
-            let fast = bounded_arb_independent_set(&g, &cfg);
-            let proto = BoundedArbProtocol {
-                params: fast.params,
-                rho_cutoff: true,
-            };
-            let run = simulate(&g, seed, &proto, proto.total_rounds() + 2).unwrap();
-            let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
-            let bad: Vec<bool> = run.states.iter().map(|s| s.bad).collect();
-            let active: Vec<bool> = run.states.iter().map(|s| s.active).collect();
-            assert_eq!(mis, fast.in_mis, "I mismatch on {g}");
-            assert_eq!(bad, fast.bad, "B mismatch on {g}");
-            assert_eq!(active, fast.active, "VIB mismatch on {g}");
-            assert!(run.metrics.within_budget());
-        }
-    }
-
-    #[test]
-    fn bounded_arb_ablation_equivalence_without_cutoff() {
-        let mut r = rng(6);
-        let g = gen::barabasi_albert(150, 2, &mut r);
-        let cfg = BoundedArbConfig {
-            rho_cutoff: false,
-            ..BoundedArbConfig::new(2, 31)
-        };
-        let fast = bounded_arb_independent_set(&g, &cfg);
-        let proto = BoundedArbProtocol {
-            params: fast.params,
-            rho_cutoff: false,
-        };
-        let run = simulate(&g, 31, &proto, proto.total_rounds() + 2).unwrap();
-        assert_eq!(
-            run.states.iter().map(|s| s.in_mis).collect::<Vec<_>>(),
-            fast.in_mis
-        );
-        assert_eq!(
-            run.states.iter().map(|s| s.bad).collect::<Vec<_>>(),
-            fast.bad
-        );
     }
 
     #[test]

@@ -15,141 +15,22 @@
 //!    `arbmis replay` consumes, so a failure found in CI can be replayed
 //!    byte-for-byte on a laptop.
 //!
-//! The module also hosts the shared digest helpers ([`joiner_digest`],
-//! [`coin_digest`]) both backends use to fill their flight-recorder
-//! records (`arbmis_obs::RoundRecord`): for a fixed graph/seed/algorithm
-//! the `(round, joiners, joiner_digest, coin_digest)` columns are
-//! **cross-backend stable**, so diffing two flight logs localizes a
-//! divergence even post-mortem.
+//! The digest helpers both backends fill their flight-recorder records
+//! with ([`joiner_digest`], [`coin_digest`]) live beside the engine in
+//! [`arbmis_core::flat::digest`] and are re-exported here. For a fixed
+//! graph/seed/algorithm the `(round, joiners, joiner_digest,
+//! coin_digest)` columns are **cross-backend stable**, so diffing two
+//! flight logs localizes a divergence even post-mortem.
 
 use crate::{BackendError, CongestBackend, FlatAlgo, FlatBackend, MisBackend, ScanMode};
-use arbmis_congest::rng;
-use arbmis_core::{bounded_arb, luby, metivier, ArbParams};
-use arbmis_graph::digest::Fnv128;
+use arbmis_core::ArbParams;
 use arbmis_graph::{Graph, NodeId, NodeOrder, MAX_NODES};
 use serde::{Deserialize, Serialize};
 
 /// Schema tag written into every replay artifact.
 pub const REPLAY_SCHEMA: &str = "arbmis-replay/v1";
 
-/// An injected single-coin perturbation, for divergence-tooling tests
-/// and fault drills: "what if node `node`'s coin in iteration
-/// `iteration` had come out differently?"
-///
-/// Only [`FlatBackend`] honors coin flips (the CONGEST backend is the
-/// pristine reference). The flip applies at the decide step of the
-/// matching iteration, to the matching node, only while it is active:
-///
-/// * Métivier / BoundedArb: the drawn priority `p` becomes
-///   `(p ^ xor) | 1` (the low bit keeps the value a valid nonzero
-///   priority).
-/// * Luby: the mark bit is toggled when `xor != 0`.
-///
-/// A flip with `xor == 0` is a no-op for the priority protocols; use an
-/// odd `xor` to guarantee a change.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CoinFlip {
-    /// The perturbed node.
-    pub node: NodeId,
-    /// The protocol iteration (not round) whose coin is perturbed.
-    pub iteration: u64,
-    /// XOR mask applied to the drawn value.
-    pub xor: u64,
-}
-
-/// Folds an FNV-1a 128 digest to the 64-bit fingerprint stored in
-/// flight records.
-fn fold(d: u128) -> u64 {
-    (d as u64) ^ ((d >> 64) as u64)
-}
-
-/// FNV-1a fingerprint of an ascending joiner list (0 when empty).
-pub fn joiner_digest(joiners: &[NodeId]) -> u64 {
-    if joiners.is_empty() {
-        return 0;
-    }
-    let mut h = Fnv128::new();
-    for &v in joiners {
-        h.write_u64(v as u64);
-    }
-    fold(h.finish())
-}
-
-/// The protocol iteration whose coins are consumed at `round`, or `None`
-/// when `round` is not a decide round for `algo`.
-///
-/// Luby and Métivier decide at rounds `r ≡ 1 (mod 3)` with
-/// `iter = r / 3`; BoundedArb follows its oblivious
-/// `Θ × (3Λ + 2)` schedule (decides only inside the first `3Λ` rounds of
-/// each scale).
-pub fn decide_iteration(algo: &FlatAlgo, round: u64) -> Option<u64> {
-    match algo {
-        FlatAlgo::Luby | FlatAlgo::Metivier => (round % 3 == 1).then_some(round / 3),
-        FlatAlgo::BoundedArb { params, .. } => {
-            let rps = 3 * params.lambda + bounded_arb::ROUNDS_PER_SCALE_END;
-            let total = u64::from(params.theta) * rps;
-            if round >= total {
-                return None;
-            }
-            let within = round % rps;
-            if within < 3 * params.lambda && within % 3 == 1 {
-                Some((round / rps) * params.lambda + within / 3)
-            } else {
-                None
-            }
-        }
-    }
-}
-
-/// FNV-1a fingerprint of the coin stream consumed at `round`: the
-/// `(node, coin)` pairs of every active node in ascending order. Returns
-/// 0 on non-decide rounds or when no node is active.
-///
-/// The digested coin is the **pure** per-node draw — `draw(TAG_MARK)`
-/// for Luby, `draw_priority` for Métivier/BoundedArb (ignoring the ρ_k
-/// cutoff) — so the digest is a function of `(seed, algo, round,
-/// active set)` only, identical across backends at every decide round.
-/// An injected [`CoinFlip`] XORs the matching node's coin, which is
-/// exactly how a perturbed flat run's flight log reveals *where* its
-/// coins diverged from the pristine reference.
-pub fn coin_digest(
-    algo: &FlatAlgo,
-    seed: u64,
-    n: usize,
-    round: u64,
-    active: impl Fn(NodeId) -> bool,
-    flip: Option<CoinFlip>,
-) -> u64 {
-    let Some(iter) = decide_iteration(algo, round) else {
-        return 0;
-    };
-    let mut h = Fnv128::new();
-    let mut any = false;
-    for v in 0..n {
-        if !active(v) {
-            continue;
-        }
-        any = true;
-        let mut coin = match algo {
-            FlatAlgo::Luby => rng::draw(seed, v, iter, luby::TAG_MARK),
-            FlatAlgo::Metivier => rng::draw_priority(seed, v, iter, metivier::TAG_PRIORITY, n),
-            FlatAlgo::BoundedArb { .. } => {
-                rng::draw_priority(seed, v, iter, bounded_arb::TAG_PRIORITY, n)
-            }
-        };
-        if let Some(f) = flip {
-            if f.node == v && f.iteration == iter {
-                coin ^= f.xor;
-            }
-        }
-        h.write_u64(v as u64);
-        h.write_u64(coin);
-    }
-    if !any {
-        return 0;
-    }
-    fold(h.finish())
-}
+pub use arbmis_core::flat::digest::{coin_digest, decide_iteration, joiner_digest, CoinFlip};
 
 /// What kind of disagreement [`localize`] found.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -435,8 +316,10 @@ impl ReplayArtifact {
     /// # Errors
     ///
     /// A message naming the malformed part (bad JSON, wrong schema tag,
-    /// unknown algorithm, missing `arb` block, `n` beyond the `u32` id
-    /// space, out-of-range edge, self loop).
+    /// unknown algorithm, missing `arb` block, an `arb.params` schedule
+    /// that [`ArbParams::schedule`] rejects, named by its
+    /// [`arbmis_core::ScheduleError`], `n` beyond the `u32` id space,
+    /// out-of-range edge, self loop).
     pub fn from_json(s: &str) -> Result<Self, String> {
         let art: ReplayArtifact =
             serde_json::from_str(s).map_err(|e| format!("replay artifact: {e}"))?;
@@ -447,6 +330,11 @@ impl ReplayArtifact {
             ));
         }
         art.algo()?;
+        if let Some(spec) = &art.arb {
+            spec.params
+                .schedule()
+                .map_err(|e| format!("replay artifact: arb.params: {e}"))?;
+        }
         if art.n > MAX_NODES {
             return Err(format!(
                 "replay artifact: node count {} out of range (at most {MAX_NODES})",
@@ -640,50 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn decide_iteration_schedules() {
-        assert_eq!(decide_iteration(&FlatAlgo::Luby, 0), None);
-        assert_eq!(decide_iteration(&FlatAlgo::Luby, 1), Some(0));
-        assert_eq!(decide_iteration(&FlatAlgo::Metivier, 7), Some(2));
-        let params = ArbParams::new(3, 100_000, Default::default());
-        assert!(params.theta >= 2, "need a multi-scale schedule");
-        let algo = FlatAlgo::BoundedArb {
-            params,
-            rho_cutoff: true,
-        };
-        let rps = 3 * params.lambda + bounded_arb::ROUNDS_PER_SCALE_END;
-        // First decide of scale 2 is one round past the scale boundary.
-        assert_eq!(decide_iteration(&algo, rps + 1), Some(params.lambda));
-        // Scale-end rounds never decide.
-        assert_eq!(decide_iteration(&algo, 3 * params.lambda), None);
-        let total = u64::from(params.theta) * rps;
-        assert_eq!(decide_iteration(&algo, total + 1), None);
-    }
-
-    #[test]
-    fn coin_digest_zero_off_decide_rounds_and_flip_changes_it() {
-        let algo = FlatAlgo::Metivier;
-        let active = |_v: NodeId| true;
-        assert_eq!(coin_digest(&algo, 1, 8, 0, active, None), 0);
-        let base = coin_digest(&algo, 1, 8, 1, active, None);
-        assert_ne!(base, 0);
-        let flip = CoinFlip {
-            node: 3,
-            iteration: 0,
-            xor: 0xff,
-        };
-        assert_ne!(coin_digest(&algo, 1, 8, 1, active, Some(flip)), base);
-        // A flip for a later iteration leaves round 1 untouched.
-        let later = CoinFlip {
-            node: 3,
-            iteration: 2,
-            xor: 0xff,
-        };
-        assert_eq!(coin_digest(&algo, 1, 8, 1, active, Some(later)), base);
-        // No active nodes → 0.
-        assert_eq!(coin_digest(&algo, 1, 8, 1, |_| false, None), 0);
-    }
-
-    #[test]
     fn artifact_roundtrips_and_replays() {
         let g = gen::cycle(16);
         let flip = CoinFlip {
@@ -759,7 +603,10 @@ mod tests {
         let mut art = path_artifact();
         art.edges.push((2, 2));
         let err = ReplayArtifact::from_json(&art.to_json()).unwrap_err();
-        assert!(err.contains("edge (2, 2) is a self loop"), "{err}");
+        assert!(
+            err.to_string().contains("edge (2, 2) is a self loop"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -767,9 +614,55 @@ mod tests {
         let mut art = path_artifact();
         art.n = MAX_NODES + 1;
         let err = ReplayArtifact::from_json(&art.to_json()).unwrap_err();
-        assert!(err.contains("node count 4294967296 out of range"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("node count 4294967296 out of range"),
+            "{err}"
+        );
         art.n = MAX_NODES;
         assert!(ReplayArtifact::from_json(&art.to_json()).is_ok());
+    }
+
+    /// A `bounded_arb` artifact whose schedule has been edited by `f`.
+    fn arb_artifact_with(f: impl FnOnce(&mut ArbParams)) -> String {
+        let mut params = ArbParams::new(3, 8, Default::default());
+        f(&mut params);
+        let mut art = path_artifact();
+        art.algo = "bounded_arb".into();
+        art.arb = Some(ArbSpec {
+            params,
+            rho_cutoff: true,
+        });
+        art.to_json()
+    }
+
+    #[test]
+    fn artifact_rejects_a_schedule_that_overflows() {
+        let err = ReplayArtifact::from_json(&arb_artifact_with(|p| p.lambda = u64::MAX));
+        assert_eq!(
+            err.unwrap_err(),
+            "replay artifact: arb.params: theta·(3·lambda + 2) rounds overflow u64"
+        );
+    }
+
+    #[test]
+    fn artifact_rejects_zero_alpha() {
+        let err = ReplayArtifact::from_json(&arb_artifact_with(|p| p.alpha = 0));
+        assert_eq!(
+            err.unwrap_err(),
+            "replay artifact: arb.params: alpha must be at least 1"
+        );
+    }
+
+    #[test]
+    fn artifact_rejects_zero_lambda() {
+        let err = ReplayArtifact::from_json(&arb_artifact_with(|p| p.lambda = 0));
+        assert_eq!(
+            err.unwrap_err(),
+            "replay artifact: arb.params: lambda must be at least 1"
+        );
+        // The unedited schedule parses.
+        assert!(ReplayArtifact::from_json(&arb_artifact_with(|_| {})).is_ok());
     }
 
     #[test]

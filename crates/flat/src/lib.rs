@@ -1,235 +1,33 @@
 #![warn(missing_docs)]
-//! Flat shared-memory MIS backends behind a common [`MisBackend`] trait.
+//! The CONGEST-backed [`MisBackend`] and the tooling that compares
+//! backends.
 //!
-//! The CONGEST simulator ([`arbmis_congest::Simulator`]) is the semantic
-//! reference: it charges every message against the bandwidth budget and
-//! counts rounds exactly. But for large-scale experiments its message
-//! plane is pure overhead — the MIS protocols in this repository are
-//! *oblivious* (what a node sends in round `r` is a pure function of its
-//! state), so the same execution can be replayed as direct frontier
-//! sweeps over the CSR adjacency with no message objects at all.
-//!
-//! This crate provides two interchangeable executions of that idea:
-//!
-//! * [`CongestBackend`] — a thin adapter over the simulator's
-//!   [`arbmis_congest::Stepper`], stepping one CONGEST round at a time
-//!   and diffing node states to report joiners.
-//! * [`FlatBackend`] — the flat engine: word-packed
-//!   ([`arbmis_congest::BitMask`]) `active` / `in_mis` / `bad` / `marked`
-//!   flags, incrementally-maintained active degrees, and a two-level
-//!   bitset frontier ([`arbmis_congest::Frontier`]) swept either
-//!   sparsely (summary-skipping iteration) or densely (flat word walk),
-//!   switching on frontier density. Optional extras, both transcript-
-//!   invisible: a cache-aware node ordering
-//!   ([`arbmis_graph::NodeOrder`], see DESIGN.md §13) and a
-//!   deterministic parallel sweep ([`FlatBackend::with_threads`]).
-//!
-//! Both backends draw coin flips from the same counter-pure RNG
-//! ([`arbmis_congest::rng`]), keyed by `(seed, node, iteration, tag)`, so
-//! for a fixed graph and seed they are **round-identical**: the joiner
-//! set at every round index, the final MIS, and the total round count all
-//! agree bit-for-bit. `tests/backend_equivalence.rs` enforces this as a
-//! differential oracle.
-//!
-//! # Round timeline
-//!
-//! A backend round is exactly one CONGEST round. Luby and Métivier spend
-//! three rounds per iteration (announce, decide, exit); joiners are
-//! reported at rounds `r ≡ 2 (mod 3)`. BoundedArb follows the oblivious
-//! schedule of [`arbmis_core::protocols::BoundedArbProtocol`]:
-//! `3Λ + 2` rounds per scale (Λ iterations, then a degree exchange and a
-//! bad-exit round), `Θ` scales total.
+//! The flat engine ([`FlatBackend`]) lives in [`arbmis_core::flat`], so
+//! the core algorithms can drive it, and is re-exported here under its
+//! historical paths. This crate adds [`CongestBackend`] — an adapter that
+//! steps the simulator's [`arbmis_congest::Stepper`] one round at a time
+//! and diffs node states to report joiners — and [`divergence`]: lockstep
+//! localization of the first divergent round and replay artifacts. The
+//! two backends are round-identical (`tests/backend_equivalence.rs`,
+//! DESIGN.md §11).
 
 mod congest_backend;
 pub mod divergence;
-mod flat_backend;
-pub mod region;
 
 pub use congest_backend::CongestBackend;
 pub use divergence::{localize, CoinFlip, Divergence, DivergenceKind, ReplayArtifact};
-pub use flat_backend::FlatBackend;
-pub use region::{solve_mis, RegionMis};
 
 pub use arbmis_congest::BitMask;
+pub use arbmis_core::flat::{
+    region, solve_mis, BackendError, BackendRun, FlatAlgo, FlatBackend, MisBackend, RegionMis,
+    ScanMode, DENSE_FRACTION,
+};
 pub use arbmis_graph::{NodeOrder, Permutation};
-
-use arbmis_congest::SimulatorError;
-use arbmis_core::ArbParams;
-use arbmis_graph::NodeId;
-use std::fmt;
-
-/// Which MIS algorithm a backend executes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FlatAlgo {
-    /// Luby's Algorithm B: mark with probability `1/2d`, higher
-    /// `(degree, id)` wins among marked neighbors.
-    Luby,
-    /// Métivier et al. priority competition: higher `(priority, id)` wins.
-    Metivier,
-    /// `BoundedArbIndependentSet` (Algorithm 1): Θ scales of Λ Métivier
-    /// iterations with the ρ_k opt-out, plus per-scale bad exits.
-    BoundedArb {
-        /// The instantiated parameter schedule.
-        params: ArbParams,
-        /// Whether the ρ_k competitiveness cutoff is active.
-        rho_cutoff: bool,
-    },
-}
-
-impl FlatAlgo {
-    /// Short stable name for logs and cache keys.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FlatAlgo::Luby => "luby",
-            FlatAlgo::Metivier => "metivier",
-            FlatAlgo::BoundedArb { .. } => "bounded_arb",
-        }
-    }
-}
-
-/// How [`FlatBackend`] walks the active set each sub-round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Sparse (frontier iteration) while the active set is small, dense
-    /// (linear scan over all nodes) once it crosses [`DENSE_FRACTION`].
-    #[default]
-    Auto,
-    /// Always iterate the frontier bitset.
-    Sparse,
-    /// Always scan `0..n` and filter on the `active` flag.
-    Dense,
-}
-
-impl ScanMode {
-    /// The one shared density decision: whether a sweep over
-    /// `active_count` of `n` nodes should walk the flat word array
-    /// (dense) rather than the summary-skipping frontier (sparse).
-    /// Every per-round derivation in the engine routes through here so
-    /// the flight-record label and the sweeps can never disagree.
-    #[inline]
-    pub fn is_dense(self, active_count: usize, n: usize) -> bool {
-        match self {
-            ScanMode::Sparse => false,
-            ScanMode::Dense => true,
-            ScanMode::Auto => active_count.saturating_mul(DENSE_FRACTION) >= n,
-        }
-    }
-}
-
-/// `Auto` sweeps go dense when `active_count ≥ n / DENSE_FRACTION`.
-pub const DENSE_FRACTION: usize = 8;
-
-/// Why a backend run failed.
-#[derive(Debug)]
-pub enum BackendError {
-    /// The underlying CONGEST simulator rejected the execution (budget
-    /// violation etc.). Only [`CongestBackend`] produces this.
-    Congest(SimulatorError),
-    /// `run` exceeded its round limit before every node finished.
-    RoundLimitExceeded {
-        /// The limit that was hit.
-        limit: u64,
-    },
-}
-
-impl fmt::Display for BackendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendError::Congest(e) => write!(f, "congest backend: {e}"),
-            BackendError::RoundLimitExceeded { limit } => {
-                write!(f, "backend exceeded round limit {limit}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BackendError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BackendError::Congest(e) => Some(e),
-            BackendError::RoundLimitExceeded { .. } => None,
-        }
-    }
-}
-
-impl From<SimulatorError> for BackendError {
-    fn from(e: SimulatorError) -> Self {
-        BackendError::Congest(e)
-    }
-}
-
-/// Summary of a completed [`MisBackend::run`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BackendRun {
-    /// CONGEST rounds executed (identical across backends for the same
-    /// graph, seed, and algorithm).
-    pub rounds: u64,
-}
-
-/// A round-steppable MIS execution.
-///
-/// The contract that makes backends interchangeable:
-///
-/// * [`round`](MisBackend::round) counts CONGEST rounds; one
-///   [`step_round`](MisBackend::step_round) call executes exactly one.
-/// * [`joiners`](MisBackend::joiners) is the ascending list of nodes
-///   that entered the MIS during the *last executed* round — empty on
-///   rounds where the protocol does not admit joiners.
-/// * [`is_done`](MisBackend::is_done) mirrors the simulator's
-///   termination test (`pending == 0`): true once every node has
-///   halted, so total round counts agree across backends.
-/// * [`init`](MisBackend::init) rewinds to round 0, reusing internal
-///   buffers (no steady-state allocation on re-runs).
-pub trait MisBackend {
-    /// Resets to round 0 on the same graph/seed/algorithm.
-    fn init(&mut self);
-
-    /// Executes one CONGEST round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures for the CONGEST-backed adapter;
-    /// the flat engine never fails.
-    fn step_round(&mut self) -> Result<(), BackendError>;
-
-    /// Nodes that joined the MIS in the last executed round, ascending.
-    fn joiners(&self) -> &[NodeId];
-
-    /// True once every node has terminated.
-    fn is_done(&self) -> bool;
-
-    /// Current MIS membership mask (word-packed, length `n`, original
-    /// id space regardless of any execution-layout permutation).
-    fn mis(&self) -> &BitMask;
-
-    /// CONGEST rounds executed so far.
-    fn round(&self) -> u64;
-
-    /// Runs from a fresh [`init`](MisBackend::init) to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::RoundLimitExceeded`] if the execution is
-    /// still pending after `max_rounds`, or any error from
-    /// [`step_round`](MisBackend::step_round).
-    fn run(&mut self, max_rounds: u64) -> Result<BackendRun, BackendError> {
-        self.init();
-        while !self.is_done() {
-            if self.round() >= max_rounds {
-                return Err(BackendError::RoundLimitExceeded { limit: max_rounds });
-            }
-            self.step_round()?;
-        }
-        Ok(BackendRun {
-            rounds: self.round(),
-        })
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arbmis_core::{luby, metivier, ArbParams, ParamMode};
+    use arbmis_core::{ArbParams, ParamMode};
     use arbmis_graph::{gen, Graph};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -316,33 +114,44 @@ mod tests {
         }
     }
 
+    /// A schedule whose Δ sits far below the graph's degrees, so the ρ_k
+    /// opt-out and the bad exits both fire — the natural schedules never
+    /// reach them on test-sized inputs.
     #[test]
-    fn flat_matches_fast_path_rounds_and_mis() {
-        for (name, g) in &graphs() {
-            for seed in [3, 99] {
-                let fast = luby::run(g, seed);
-                let mut flat = FlatBackend::new(g, seed, FlatAlgo::Luby);
-                let run = flat.run(MAX_ROUNDS).unwrap();
-                assert_eq!(flat.mis(), &fast.in_mis[..], "{name}: luby MIS");
-                let expect = if fast.iterations == 0 {
-                    0
-                } else {
-                    3 * fast.iterations + 1
-                };
-                assert_eq!(run.rounds, expect, "{name}: luby rounds");
-
-                let fast = metivier::run(g, seed);
-                let mut flat = FlatBackend::new(g, seed, FlatAlgo::Metivier);
-                let run = flat.run(MAX_ROUNDS).unwrap();
-                assert_eq!(flat.mis(), &fast.in_mis[..], "{name}: metivier MIS");
-                let expect = if fast.iterations == 0 {
-                    0
-                } else {
-                    3 * fast.iterations + 1
-                };
-                assert_eq!(run.rounds, expect, "{name}: metivier rounds");
+    fn flat_matches_congest_with_binding_cutoffs() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let g = gen::gnp(300, 0.02, &mut rng);
+        // Δ = 2: ρ_1 = 2Δ·lnΔ ≈ 2.8, so every node of degree ≥ 3 opts
+        // out, and a node with any active neighbor of degree > Δ/2 + α
+        // = 2 exceeds the bad threshold Δ/8.
+        let params = ArbParams {
+            alpha: 1,
+            delta: 2,
+            theta: 4,
+            lambda: 1,
+            mode: ParamMode::default(),
+        };
+        let mut outcomes = Vec::new();
+        for rho_cutoff in [true, false] {
+            let algo = FlatAlgo::BoundedArb { params, rho_cutoff };
+            let mut flat = FlatBackend::new(&g, 3, algo);
+            let mut congest = CongestBackend::new(&g, 3, algo);
+            assert_lockstep(
+                &format!("binding/rho={rho_cutoff}"),
+                &mut flat,
+                &mut congest,
+            );
+            for (v, s) in congest.states().iter().enumerate() {
+                assert_eq!(flat.bad().test(v), s.bad, "bad set diverges at {v}");
+                assert_eq!(flat.is_active(v), s.active, "residue diverges at {v}");
             }
+            assert!(
+                flat.bad().count_ones() > 0,
+                "rho={rho_cutoff}: no bad exits"
+            );
+            outcomes.push((flat.mis().clone(), flat.bad().clone()));
         }
+        assert_ne!(outcomes[0], outcomes[1], "the ρ_k opt-out never bound");
     }
 
     #[test]

@@ -331,30 +331,6 @@ impl<'a> ActiveView<'a> {
         }
     }
 
-    /// Creates a view with exactly the nodes of `mask` active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask.len() != graph.n()`.
-    pub fn from_mask(graph: &'a Graph, mask: &[bool]) -> Self {
-        assert_eq!(mask.len(), graph.n());
-        let n = graph.n();
-        let active_degree = (0..n)
-            .map(|v| graph.neighbors(v).iter().filter(|&&u| mask[u]).count())
-            .collect();
-        ActiveView {
-            graph,
-            active: mask.to_vec(),
-            active_degree,
-            active_count: mask.iter().filter(|&&b| b).count(),
-        }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
     /// Whether `v` is still active.
     #[inline]
     pub fn is_active(&self, v: NodeId) -> bool {
@@ -402,22 +378,9 @@ impl<'a> ActiveView<'a> {
         }
     }
 
-    /// Maximum active degree over *active* nodes (`Δ_IB`), 0 if none.
-    pub fn max_active_degree(&self) -> usize {
-        self.active_nodes()
-            .map(|v| self.active_degree[v])
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Snapshot of the activity mask.
     pub fn mask(&self) -> &[bool] {
         &self.active
-    }
-
-    /// Compacts the current active set into a standalone subgraph.
-    pub fn to_induced(&self) -> InducedSubgraph {
-        InducedSubgraph::new(self.graph, &self.active)
     }
 }
 
@@ -458,7 +421,6 @@ mod tests {
     fn active_view_degrees_track_deactivation() {
         let g = gen::cycle(5);
         let mut view = ActiveView::new(&g);
-        assert_eq!(view.max_active_degree(), 2);
         view.deactivate(0);
         assert_eq!(view.active_degree(1), 1);
         assert_eq!(view.active_degree(4), 1);
@@ -479,32 +441,10 @@ mod tests {
     }
 
     #[test]
-    fn to_induced_compacts_active_set() {
-        let g = gen::path(4);
-        let mut view = ActiveView::new(&g);
-        view.deactivate(1);
-        let sub = view.to_induced();
-        assert_eq!(sub.n(), 3);
-        assert_eq!(sub.graph().m(), 1); // only 2-3 survives
-    }
-
-    #[test]
-    fn from_mask_view() {
-        let g = gen::cycle(6);
-        let view = ActiveView::from_mask(&g, &[true, false, true, true, false, false]);
-        assert_eq!(view.active_count(), 3);
-        assert_eq!(view.active_degree(2), 1); // only neighbor 3 active
-        assert_eq!(view.active_degree(3), 1);
-        assert_eq!(view.active_degree(0), 0);
-        assert!(!view.is_active(1));
-    }
-
-    #[test]
     fn empty_view() {
         let g = crate::Graph::empty(0);
         let view = ActiveView::new(&g);
         assert_eq!(view.active_count(), 0);
-        assert_eq!(view.max_active_degree(), 0);
     }
 
     #[test]

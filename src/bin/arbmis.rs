@@ -14,7 +14,8 @@
 //! arbmis gen --family ktree2 --n 1000 --output k.txt
 //! ```
 
-use arbmis::core::{arb_mis, check_mis, ghaffari, greedy, luby, metivier, tree_mis, ArbMisConfig};
+use arbmis::core::flat::paper_rounds;
+use arbmis::core::{arb_mis, check_mis, ghaffari, greedy, tree_mis, ArbMisConfig};
 use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, NodeOrder, ReplayArtifact};
 use arbmis::graph::gen::{GraphFamily, GraphSpec};
 use arbmis::graph::stats::GraphStats;
@@ -23,12 +24,13 @@ use arbmis_bench::churn;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
   arbmis run    (--input FILE | --family NAME --n N) --algo ALGO [--alpha A] [--seed S] [--obs]
-                [--backend fast|congest|flat] [--order identity|degree|bfs] [--flat-threads N]
+                [--backend flat|congest] [--order identity|degree|bfs] [--flat-threads N]
                 [--flight] [--flight-out FILE] [--trace-out FILE] [--perfetto-out FILE]
   arbmis stats  (--input FILE | --family NAME --n N) [--seed S]
   arbmis gen    --family NAME --n N --output FILE [--seed S]
@@ -51,13 +53,12 @@ JSONL / as a Chrome trace-event file loadable in Perfetto.
 dumped to stderr on panic or backend failure; --flight-out saves it as
 JSONL after the run.
 
---backend picks the execution engine for luby/metivier: the analytic
-fast path (default), the CONGEST message-passing simulator, or the flat
-shared-memory backend. All three produce the same MIS; the engines
-report one extra round (the final all-halt round the fast path's
-counting convention omits; DESIGN.md §11).
+--backend picks the execution engine for luby/metivier: the flat
+shared-memory engine (default) or the CONGEST message-passing
+simulator. Both produce the same MIS and print the same round count
+(3 per iteration; DESIGN.md §11).
 
---order relabels the flat backend's internal node layout (cache
+--order relabels the flat engine's internal node layout (cache
 locality); --flat-threads N runs its sweeps on N worker threads. Both
 are execution details: the transcript — joiners, rounds, the MIS — is
 byte-identical for every order and thread count (DESIGN.md §13).
@@ -113,6 +114,21 @@ fn parse_flags(args: &[String]) -> Option<HashMap<String, String>> {
     Some(map)
 }
 
+/// Parses the optional numeric flag `--name`: `Ok(None)` when absent, an
+/// error naming the flag when the value does not parse.
+fn numeric_flag<T: FromStr>(
+    flags: &HashMap<String, String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(name)
+        .map(|s| {
+            s.parse()
+                .map_err(|_| format!("--{name} must be a non-negative integer, got {s:?}"))
+        })
+        .transpose()
+}
+
 fn load_graph(flags: &HashMap<String, String>) -> Result<Graph, String> {
     if let Some(path) = flags.get("input") {
         return io::read_file(path).map_err(|e| format!("reading {path}: {e}"));
@@ -121,16 +137,8 @@ fn load_graph(flags: &HashMap<String, String>) -> Result<Graph, String> {
         .get("family")
         .ok_or("need --input FILE or --family NAME")?;
     let fam = family_by_name(family).ok_or_else(|| format!("unknown family {family:?}"))?;
-    let n: usize = flags
-        .get("n")
-        .ok_or("need --n with --family")?
-        .parse()
-        .map_err(|_| "bad --n".to_string())?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed".to_string()))
-        .transpose()?
-        .unwrap_or(1);
+    let n: usize = numeric_flag(flags, "n")?.ok_or("need --n with --family")?;
+    let seed: u64 = numeric_flag(flags, "seed")?.unwrap_or(1);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     Ok(GraphSpec::new(fam, n).generate(&mut rng))
 }
@@ -194,17 +202,30 @@ fn cmd_replay(flags: &HashMap<String, String>) -> ExitCode {
 /// maintenance layer, comparing locality-bounded repair against a full
 /// re-solve after every batch.
 fn cmd_churn(flags: &HashMap<String, String>, seed: u64) -> ExitCode {
-    let n: usize = flags.get("n").and_then(|s| s.parse().ok()).unwrap_or(2_000);
-    let batches: usize = flags
-        .get("batches")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(48);
-    let batch_size: usize = flags
-        .get("batch-size")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
+    let (n, batches, batch_size): (usize, usize, usize) = match (
+        numeric_flag(flags, "n"),
+        numeric_flag(flags, "batches"),
+        numeric_flag(flags, "batch-size"),
+    ) {
+        (Ok(n), Ok(b), Ok(k)) => (n.unwrap_or(2_000), b.unwrap_or(48), k.unwrap_or(16)),
+        (Err(e), ..) | (_, Err(e), _) | (_, _, Err(e)) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let verify = flags.contains_key("verify");
     let workload = flags.get("workload").map(String::as_str).unwrap_or("all");
+    // The generators assert these sizes: the localized window (also in
+    // `all`) spans 32 ids, and a hub needs spokes beyond its fan.
+    let min_n = match workload {
+        "all" | "localized" => 32,
+        "hub" => 4,
+        _ => 2,
+    };
+    if n < min_n {
+        eprintln!("error: --n must be at least {min_n} for workload {workload:?}, got {n}");
+        return ExitCode::FAILURE;
+    }
     let scripts = match workload {
         "all" => churn::standard_suite(n, seed),
         "localized" => vec![churn::localized_churn(n, batches, batch_size, seed)],
@@ -346,7 +367,13 @@ fn main() -> ExitCode {
     let Some(flags) = parse_flags(rest) else {
         return usage();
     };
-    let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(1);
+    let seed: u64 = match numeric_flag(&flags, "seed") {
+        Ok(seed) => seed.unwrap_or(1),
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     match cmd.as_str() {
         "replay" => cmd_replay(&flags),
@@ -408,10 +435,13 @@ fn main() -> ExitCode {
                 }
             };
             let algo = flags.get("algo").map(String::as_str).unwrap_or("arbmis");
-            let alpha: usize = flags
-                .get("alpha")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| arboricity::degeneracy(&g).max(1));
+            let alpha: usize = match numeric_flag(&flags, "alpha") {
+                Ok(alpha) => alpha.unwrap_or_else(|| arboricity::degeneracy(&g).max(1)),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             if alpha == 0 {
                 eprintln!("error: --alpha must be >= 1");
                 return ExitCode::FAILURE;
@@ -422,12 +452,12 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
-            let backend = flags.get("backend").map(String::as_str).unwrap_or("fast");
-            if !matches!(backend, "fast" | "congest" | "flat") {
-                eprintln!("unknown backend {backend:?} (expected fast, congest, or flat)");
+            let backend = flags.get("backend").map(String::as_str).unwrap_or("flat");
+            if !matches!(backend, "flat" | "congest") {
+                eprintln!("unknown backend {backend:?} (expected flat or congest)");
                 return usage();
             }
-            if backend != "fast" && !matches!(algo, "luby" | "metivier") {
+            if flags.contains_key("backend") && !matches!(algo, "luby" | "metivier") {
                 eprintln!("--backend {backend} only supports --algo luby or metivier");
                 return ExitCode::FAILURE;
             }
@@ -452,14 +482,16 @@ fn main() -> ExitCode {
                 },
             };
             if (flags.contains_key("order") || flags.contains_key("flat-threads"))
-                && backend != "flat"
+                && (backend != "flat" || !matches!(algo, "luby" | "metivier"))
             {
-                eprintln!("--order / --flat-threads need --backend flat");
+                eprintln!(
+                    "--order / --flat-threads need --algo luby or metivier on --backend flat"
+                );
                 return ExitCode::FAILURE;
             }
             let (in_mis, rounds) = match algo {
                 "greedy" => (greedy::greedy_mis(&g), 0),
-                "luby" | "metivier" if backend != "fast" => {
+                "luby" | "metivier" => {
                     let flat_algo = if algo == "luby" {
                         FlatAlgo::Luby
                     } else {
@@ -482,6 +514,7 @@ fn main() -> ExitCode {
                     };
                     match result {
                         Ok((mis, rounds)) => {
+                            let rounds = paper_rounds(rounds);
                             rec.point("rounds", rounds);
                             drop(span);
                             (mis, rounds)
@@ -497,14 +530,6 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                     }
-                }
-                "luby" => {
-                    let r = luby::run(&g, seed);
-                    (r.in_mis, r.rounds)
-                }
-                "metivier" => {
-                    let r = metivier::run(&g, seed);
-                    (r.in_mis, r.rounds)
                 }
                 "ghaffari" => {
                     let r = ghaffari::run(&g, seed);

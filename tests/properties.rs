@@ -206,6 +206,69 @@ proptest! {
     }
 }
 
+/// Strategy: an arbitrary graph plus a node mask over it (the region).
+fn graph_and_region() -> impl Strategy<Value = (Graph, Vec<bool>)> {
+    arbitrary_graph().prop_flat_map(|g| {
+        let n = g.n();
+        (Just(g), proptest::collection::vec(0u8..2, n..n + 1))
+            .prop_map(|(g, bits)| (g, bits.into_iter().map(|b| b == 1).collect()))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A region run is an MIS of the region and never touches a node
+    /// outside it (never active, never a joiner, never in the MIS). The
+    /// sparse and dense sweeps and a degree-ordered layout step in
+    /// lockstep with the auto-scan run.
+    #[test]
+    fn region_runs_solve_the_region_and_leave_the_rest(
+        case in graph_and_region(),
+        seed in 0u64..1000,
+    ) {
+        use arbmis::core::verify::is_mis_of_region;
+        use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend, ScanMode};
+        use arbmis::graph::NodeOrder;
+        let (g, region) = case;
+        for algo in [FlatAlgo::Luby, FlatAlgo::Metivier] {
+            let mut base = FlatBackend::on_region(&g, seed, algo, &region);
+            let mut others = [
+                FlatBackend::on_region(&g, seed, algo, &region).with_scan(ScanMode::Sparse),
+                FlatBackend::on_region(&g, seed, algo, &region).with_scan(ScanMode::Dense),
+                FlatBackend::on_region(&g, seed, algo, &region).with_order(NodeOrder::Degree),
+            ];
+            for v in g.nodes() {
+                prop_assert_eq!(base.is_active(v), region[v]);
+            }
+            while !base.is_done() {
+                prop_assert!(base.round() < 100_000);
+                base.step_round().unwrap();
+                prop_assert!(base.joiners().iter().all(|&v| region[v]), "joiner outside region");
+                for o in &mut others {
+                    prop_assert!(!o.is_done(), "{:?} done flags diverge", algo);
+                    o.step_round().unwrap();
+                    prop_assert!(
+                        o.joiners() == base.joiners(),
+                        "{:?} joiners diverge at round {}",
+                        algo,
+                        base.round() - 1
+                    );
+                }
+            }
+            for o in &others {
+                prop_assert!(o.is_done());
+                prop_assert_eq!(o.mis(), base.mis());
+            }
+            let mis = base.mis().to_bools();
+            prop_assert!(is_mis_of_region(&g, &mis, &region), "{:?}: not an MIS of the region", algo);
+            for v in g.nodes().filter(|&v| !region[v]) {
+                prop_assert!(!mis[v] && !base.is_active(v), "{:?}: node {} outside region touched", algo, v);
+            }
+        }
+    }
+}
+
 // ------------------------------------------------- bit-packed substrate
 
 /// Strategy: a size plus an operation tape over `0..n` for the
