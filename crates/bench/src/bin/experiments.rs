@@ -41,7 +41,6 @@ use arbmis_bench::cache::{set_global_cache, Cache};
 use arbmis_bench::sched::{cell_count, run_scheduled};
 use arbmis_bench::ExperimentReport;
 use arbmis_congest::Parallelism;
-use std::io::Write as _;
 use std::sync::Arc;
 
 /// Default on-disk cache root (relative to the working directory).
@@ -64,7 +63,19 @@ struct Args {
     backend: MisBackendChoice,
 }
 
-fn parse_args() -> Args {
+/// The value after `--flag`, or an error naming the flag.
+fn flag_value(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("--{flag} needs {what}"))
+}
+
+/// Parses the command line. A flag whose value is missing or malformed
+/// is an `Err` naming the flag; `--help` and unknown arguments exit
+/// here, as before.
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         quick: false,
         markdown: false,
@@ -88,35 +99,35 @@ fn parse_args() -> Args {
             "--markdown" => args.markdown = true,
             "--list" => args.list = true,
             "--json" => {
-                args.json = Some(it.next().expect("--json needs a path"));
+                args.json = Some(flag_value(&mut it, "json", "a path")?);
             }
             "--threads" => {
-                let v = it.next().expect("--threads needs a count");
-                args.threads = Some(v.parse().expect("--threads needs an integer"));
+                let v = flag_value(&mut it, "threads", "a count")?;
+                let t = v
+                    .parse()
+                    .map_err(|_| format!("--threads must be a non-negative integer, got {v:?}"))?;
+                args.threads = Some(t);
             }
             "--cache-dir" => {
-                args.cache_dir = Some(it.next().expect("--cache-dir needs a path"));
+                args.cache_dir = Some(flag_value(&mut it, "cache-dir", "a path")?);
             }
             "--no-cache" => args.no_cache = true,
             "--metrics-out" => {
-                args.metrics_out = Some(it.next().expect("--metrics-out needs a path"));
+                args.metrics_out = Some(flag_value(&mut it, "metrics-out", "a path")?);
             }
             "--trace-out" => {
-                args.trace_out = Some(it.next().expect("--trace-out needs a path"));
+                args.trace_out = Some(flag_value(&mut it, "trace-out", "a path")?);
             }
             "--perfetto-out" => {
-                args.perfetto_out = Some(it.next().expect("--perfetto-out needs a path"));
+                args.perfetto_out = Some(flag_value(&mut it, "perfetto-out", "a path")?);
             }
             "--flight" => args.flight = true,
             "--flight-out" => {
-                args.flight_out = Some(it.next().expect("--flight-out needs a path"));
+                args.flight_out = Some(flag_value(&mut it, "flight-out", "a path")?);
             }
             "--backend" => {
-                let v = it.next().expect("--backend needs flat or congest");
-                args.backend = v.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
+                let v = flag_value(&mut it, "backend", "flat or congest")?;
+                args.backend = v.parse().map_err(|e| format!("--backend: {e}"))?;
             }
             "--exp" => {
                 // Consume ids until the next flag.
@@ -139,11 +150,24 @@ fn parse_args() -> Args {
             }
         }
     }
-    args
+    Ok(args)
+}
+
+/// Writes `contents` to the path given by `--flag`, or exits 1 with an
+/// `error:` line naming the flag.
+fn write_or_exit(flag: &str, path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: --{flag}: writing {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("[experiments] wrote {path}");
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     // Before building plans: cell keys embed the backend label.
     arbmis_bench::backend::set_choice(args.backend);
     if args.backend != MisBackendChoice::default() {
@@ -260,28 +284,22 @@ fn main() {
 
     if let Some(path) = args.json {
         let json = serde_json::to_string_pretty(&reports).expect("serialize reports");
-        let mut f = std::fs::File::create(&path).expect("create json output");
-        f.write_all(json.as_bytes()).expect("write json output");
-        eprintln!("[experiments] wrote {path}");
+        write_or_exit("json", &path, &json);
     }
 
     if let Some(rec) = recorder {
         let snap = rec.snapshot();
         if let Some(path) = args.metrics_out {
-            std::fs::write(&path, snap.to_prometheus()).expect("write metrics output");
-            eprintln!("[experiments] wrote {path}");
+            write_or_exit("metrics-out", &path, &snap.to_prometheus());
         }
         if let Some(path) = args.trace_out {
-            std::fs::write(&path, snap.to_jsonl()).expect("write trace output");
-            eprintln!("[experiments] wrote {path}");
+            write_or_exit("trace-out", &path, &snap.to_jsonl());
         }
         if let Some(path) = args.perfetto_out {
-            std::fs::write(&path, snap.to_chrome_trace()).expect("write perfetto output");
-            eprintln!("[experiments] wrote {path}");
+            write_or_exit("perfetto-out", &path, &snap.to_chrome_trace());
         }
     }
     if let (Some(f), Some(path)) = (&flight, args.flight_out) {
-        std::fs::write(&path, f.to_jsonl()).expect("write flight output");
-        eprintln!("[experiments] wrote {path}");
+        write_or_exit("flight-out", &path, &f.to_jsonl());
     }
 }

@@ -26,8 +26,8 @@
 //! Every phase only lets nodes not yet dominated by the growing `I` join,
 //! so the union is an MIS of the whole graph — asserted in debug builds.
 
-use crate::bounded_arb::{bounded_arb_independent_set_with, BoundedArbConfig, ShatterOutcome};
-use crate::params::ParamMode;
+use crate::bounded_arb::{self, BoundedArbConfig, ShatterOutcome};
+use crate::params::{ArbParams, ParamMode};
 use crate::{cole_vishkin, forest_decomp, metivier};
 use arbmis_graph::{traversal, Graph, NodeId};
 use arbmis_obs::{Histogram, Recorder};
@@ -173,105 +173,30 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
     }
     let mut in_mis = vec![false; n];
     let mut phases = PhaseRounds::default();
-    // One reusable extraction scratch for the whole pipeline: Phase 2's
-    // region lift and every Phase-4 component reuse its tables, so
-    // subgraph extraction costs O(|C| + m(C)) per component, not O(n).
-    let mut scratch = arbmis_graph::SubgraphScratch::new();
 
-    // Phase 1: degree reduction (substituted; see module docs). The BEPS
-    // contract is "reduce the maximum degree to the target, in
-    // O(√(log n·log log n)) rounds" — so the competition is restricted to
-    // high-degree nodes and their neighborhoods, leaving the rest of the
-    // graph untouched for the shattering phase.
-    let target = degree_reduction_target(cfg.alpha, n);
-    let mut region: Vec<bool> = vec![true; n];
+    // Phase 1: degree reduction (substituted; see module docs).
     let dr_span = rec.span("degree_reduction");
-    if cfg.degree_reduction && g.max_degree() as f64 > target {
-        let cap = degree_reduction_iterations(n);
-        let mut view = arbmis_graph::ActiveView::new(g);
-        let mut prio = vec![0u64; n];
-        let mut iters = 0u64;
-        while iters < cap {
-            // High-degree nodes and their active neighborhoods compete.
-            let mut competes = vec![false; n];
-            let mut any_high = false;
-            for v in view.active_nodes() {
-                if view.active_degree(v) as f64 > target {
-                    any_high = true;
-                    competes[v] = true;
-                    for u in view.active_neighbors(v) {
-                        competes[u] = true;
-                    }
-                }
-            }
-            if !any_high {
-                break;
-            }
-            // Draw each competitor's priority once per iteration instead
-            // of re-hashing it for every incident edge (the comparison
-            // tuple `(prio[v], v)` is exactly `metivier::priority`).
-            for v in view.active_nodes() {
-                if competes[v] {
-                    prio[v] = metivier::priority(cfg.seed ^ 0xdeed, v, iters, n).0;
-                }
-            }
-            let joiners: Vec<NodeId> = view
-                .active_nodes()
-                .filter(|&v| {
-                    competes[v]
-                        && view
-                            .active_neighbors(v)
-                            .all(|u| !competes[u] || (prio[v], v) > (prio[u], u))
-                })
-                .collect();
-            for &v in &joiners {
-                in_mis[v] = true;
-                let nbrs: Vec<NodeId> = view.active_neighbors(v).collect();
-                view.deactivate(v);
-                for u in nbrs {
-                    view.deactivate(u);
-                }
-            }
-            iters += 1;
-        }
-        region.copy_from_slice(view.mask());
-        phases.degree_reduction = iters * metivier::ROUNDS_PER_ITERATION;
-    }
+    let reduced = degree_reduction(g, cfg, &mut in_mis);
+    phases.degree_reduction = reduced.rounds;
     rec.point("rounds", phases.degree_reduction);
     drop(dr_span);
 
-    // Phase 2: shattering on the residual region (opens its own span).
-    // The extraction borrows `scratch`, so the block scopes it: the
-    // scratch is free again for the Phase-4 component loop.
-    let shatter = {
-        let sub = scratch.induce_mask(g, &region);
-        let ba_cfg = BoundedArbConfig {
-            alpha: cfg.alpha,
-            mode: cfg.mode,
-            seed: cfg.seed,
-            rho_cutoff: true,
-            record_iterations: false,
-        };
-        let local = bounded_arb_independent_set_with(sub.graph(), &ba_cfg, rec);
-        phases.shattering = local.rounds;
-        // Lift the shatter outcome to original ids.
-        let mut shatter = ShatterOutcome {
-            in_mis: vec![false; n],
-            bad: vec![false; n],
-            active: vec![false; n],
-            ..local.clone()
-        };
-        for i in 0..sub.n() {
-            let v = sub.to_parent(i);
-            shatter.in_mis[v] = local.in_mis[i];
-            shatter.bad[v] = local.bad[i];
-            shatter.active[v] = local.active[i];
-            if local.in_mis[i] {
-                in_mis[v] = true;
-            }
-        }
-        shatter
+    // Phase 2: shattering on the residual region, run in place on `g`
+    // (opens its own span). Its schedule is sized by the region's
+    // induced Δ, exactly as if it ran on the region's compacted copy.
+    let ba_cfg = BoundedArbConfig {
+        alpha: cfg.alpha,
+        mode: cfg.mode,
+        seed: cfg.seed,
+        rho_cutoff: true,
+        record_iterations: false,
     };
+    let params = ArbParams::new(cfg.alpha, reduced.max_degree, cfg.mode);
+    let shatter = bounded_arb::shatter(g, Some(&reduced.region), params, &ba_cfg, rec);
+    phases.shattering = shatter.rounds;
+    for (slot, &joined) in in_mis.iter_mut().zip(&shatter.in_mis) {
+        *slot |= joined;
+    }
 
     // Phase 3: split the residual VIB into V_lo / V_hi by the final
     // scale's high-degree threshold (measured in the shattering graph's
@@ -324,6 +249,9 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
     phases.vhi = hi_run.rounds;
 
     // Phase 4: bad components, processed independently (max rounds).
+    // One reusable extraction scratch serves every component, so
+    // subgraph extraction costs O(|C| + m(C)) per component, not O(n).
+    let mut scratch = arbmis_graph::SubgraphScratch::new();
     let comps = traversal::components_of_subset(g, &shatter.bad);
     let members = comps.members();
     let mut bad_component_sizes: Vec<usize> = Vec::new();
@@ -366,6 +294,93 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
         phases,
         shatter,
         bad_component_sizes,
+    }
+}
+
+/// What the degree-reduction pre-phase leaves for shattering.
+struct Reduced {
+    /// Nodes neither joined nor dominated by the pre-phase.
+    region: Vec<bool>,
+    /// Maximum degree of the subgraph `region` induces.
+    max_degree: usize,
+    /// CONGEST rounds spent.
+    rounds: u64,
+}
+
+/// Phase 1: the substituted degree reduction (see module docs). The BEPS
+/// contract is "reduce the maximum degree to the target, in
+/// O(√(log n·log log n)) rounds" — so the competition is restricted to
+/// high-degree nodes and their neighborhoods, leaving the rest of the
+/// graph untouched for the shattering phase. Joiners are set in
+/// `in_mis`.
+fn degree_reduction(g: &Graph, cfg: &ArbMisConfig, in_mis: &mut [bool]) -> Reduced {
+    let n = g.n();
+    let target = degree_reduction_target(cfg.alpha, n);
+    let max_degree = g.max_degree();
+    if !cfg.degree_reduction || max_degree as f64 <= target {
+        return Reduced {
+            region: vec![true; n],
+            max_degree,
+            rounds: 0,
+        };
+    }
+    let cap = degree_reduction_iterations(n);
+    let mut view = arbmis_graph::ActiveView::new(g);
+    let mut prio = vec![0u64; n];
+    let mut iters = 0u64;
+    while iters < cap {
+        // High-degree nodes and their active neighborhoods compete.
+        let mut competes = vec![false; n];
+        let mut any_high = false;
+        for v in view.active_nodes() {
+            if view.active_degree(v) as f64 > target {
+                any_high = true;
+                competes[v] = true;
+                for u in view.active_neighbors(v) {
+                    competes[u] = true;
+                }
+            }
+        }
+        if !any_high {
+            break;
+        }
+        // Draw each competitor's priority once per iteration instead
+        // of re-hashing it for every incident edge (the comparison
+        // tuple `(prio[v], v)` is exactly `metivier::priority`).
+        for v in view.active_nodes() {
+            if competes[v] {
+                prio[v] = metivier::priority(cfg.seed ^ 0xdeed, v, iters, n).0;
+            }
+        }
+        let joiners: Vec<NodeId> = view
+            .active_nodes()
+            .filter(|&v| {
+                competes[v]
+                    && view
+                        .active_neighbors(v)
+                        .all(|u| !competes[u] || (prio[v], v) > (prio[u], u))
+            })
+            .collect();
+        for &v in &joiners {
+            in_mis[v] = true;
+            let nbrs: Vec<NodeId> = view.active_neighbors(v).collect();
+            view.deactivate(v);
+            for u in nbrs {
+                view.deactivate(u);
+            }
+        }
+        iters += 1;
+    }
+    // The view's active degrees are exactly the induced degrees.
+    let max_degree = view
+        .active_nodes()
+        .map(|v| view.active_degree(v))
+        .max()
+        .unwrap_or(0);
+    Reduced {
+        region: view.mask().to_vec(),
+        max_degree,
+        rounds: iters * metivier::ROUNDS_PER_ITERATION,
     }
 }
 
@@ -579,6 +594,49 @@ mod tests {
         let (a, b) = (run(), run());
         assert_eq!(a.to_jsonl(), b.to_jsonl());
         assert_eq!(a.to_prometheus(), b.to_prometheus());
+    }
+
+    /// The shattering phase against the deleted induced-copy path, on
+    /// the region degree reduction actually leaves: the in-place run's
+    /// outcome equals Algorithm 1 on the region's compacted copy with the
+    /// copy's own Δ. Reduction fires on the first three families and
+    /// not on the last two.
+    #[test]
+    fn shattering_matches_the_induced_copy() {
+        let families = [
+            (gen::barabasi_albert(2000, 2, &mut rng(45)), 2, true),
+            (gen::broom(60, 1500), 1, true),
+            (gen::random_ktree(1500, 3, &mut rng(42)), 3, true),
+            (gen::apollonian(1500, &mut rng(43)), 3, false),
+            (gen::forest_union(1500, 2, &mut rng(44)), 2, false),
+        ];
+        for (g, alpha, fires) in &families {
+            for seed in 0..3 {
+                let cfg = ArbMisConfig::new(*alpha, seed);
+                let mut in_mis = vec![false; g.n()];
+                let reduced = degree_reduction(g, &cfg, &mut in_mis);
+                assert_eq!(reduced.rounds > 0, *fires, "{g}");
+                let nodes: Vec<NodeId> = g.nodes().filter(|&v| reduced.region[v]).collect();
+                let copy = arbmis_graph::InducedSubgraph::from_nodes(g, &nodes);
+                assert_eq!(reduced.max_degree, copy.graph().max_degree(), "{g}");
+                let ba_cfg = BoundedArbConfig {
+                    alpha: *alpha,
+                    mode: cfg.mode,
+                    seed,
+                    rho_cutoff: true,
+                    record_iterations: false,
+                };
+                let params = ArbParams::new(*alpha, copy.graph().max_degree(), cfg.mode);
+                let want = bounded_arb::shatter_on_induced_copy(
+                    g,
+                    &reduced.region,
+                    params,
+                    &ba_cfg,
+                    &Recorder::disabled(),
+                );
+                assert_eq!(arb_mis(g, &cfg).shatter, want, "{g} seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -57,12 +57,15 @@ pub fn is_maximal(g: &Graph, in_set: &[bool]) -> bool {
             .all(|v| in_set[v] || g.neighbors(v).iter().any(|&u| in_set[u]))
 }
 
-/// Full MIS check with a descriptive error.
+/// Full MIS check with a descriptive error, in one pass over the CSR:
+/// each member looks for a member neighbour, each non-member (until the
+/// first undominated one is found) for a dominating one.
 ///
 /// # Errors
 ///
-/// Returns the first violation found (independence violations are checked
-/// before maximality ones).
+/// Returns the first independence violation in [`Graph::edges`] order —
+/// a violating edge `(u, v)`, `u < v`, is met at `u`'s row, before any
+/// later one — and otherwise the first undominated node.
 pub fn check_mis(g: &Graph, in_set: &[bool]) -> Result<(), MisError> {
     if in_set.len() != g.n() {
         return Err(MisError::WrongLength {
@@ -70,17 +73,23 @@ pub fn check_mis(g: &Graph, in_set: &[bool]) -> Result<(), MisError> {
             expected: g.n(),
         });
     }
-    for (u, v) in g.edges() {
-        if in_set[u] && in_set[v] {
-            return Err(MisError::NotIndependent { u, v });
-        }
-    }
+    let mut undominated = None;
     for v in g.nodes() {
-        if !in_set[v] && !g.neighbors(v).iter().any(|&u| in_set[u]) {
-            return Err(MisError::NotMaximal { v });
+        let nbrs = g.neighbors(v);
+        if in_set[v] {
+            // A member neighbour `u < v` would have failed at `u`'s row,
+            // so the first one found here is `v`'s smallest above `v`.
+            if let Some(&u) = nbrs.iter().find(|&&u| in_set[u]) {
+                return Err(MisError::NotIndependent { u: v, v: u });
+            }
+        } else if undominated.is_none() && !nbrs.iter().any(|&u| in_set[u]) {
+            undominated = Some(v);
         }
     }
-    Ok(())
+    match undominated {
+        Some(v) => Err(MisError::NotMaximal { v }),
+        None => Ok(()),
+    }
 }
 
 /// `true` iff `in_set` is a maximal independent set of `g` — the
@@ -192,6 +201,55 @@ mod tests {
         // Undominated region node invalidates.
         let sparse = vec![true, false, false, false, false, false];
         assert!(!is_mis_of_region(&g, &sparse, &region));
+    }
+
+    /// The two-pass check [`check_mis`] replaced: every edge for
+    /// independence first, then every node for domination.
+    fn two_pass_check_mis(g: &Graph, in_set: &[bool]) -> Result<(), MisError> {
+        if in_set.len() != g.n() {
+            return Err(MisError::WrongLength {
+                got: in_set.len(),
+                expected: g.n(),
+            });
+        }
+        for (u, v) in g.edges() {
+            if in_set[u] && in_set[v] {
+                return Err(MisError::NotIndependent { u, v });
+            }
+        }
+        for v in g.nodes() {
+            if !in_set[v] && !g.neighbors(v).iter().any(|&u| in_set[u]) {
+                return Err(MisError::NotMaximal { v });
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(300))]
+
+        /// The one-pass check returns exactly the two-pass oracle's
+        /// `Result` on random sets, valid MIS and valid MIS with a few
+        /// bits flipped.
+        #[test]
+        fn one_pass_matches_the_two_pass_oracle(seed in 0u64..u64::MAX) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..70usize);
+            let g = gen::gnp(n, rng.gen_range(0.0..0.25), &mut rng);
+            let density = rng.gen_range(0.0..1.0);
+            let mut set: Vec<bool> = match rng.gen_range(0..3u32) {
+                0 => (0..n).map(|_| rng.gen_bool(density)).collect(),
+                _ => crate::greedy::greedy_mis(&g),
+            };
+            if rng.gen_bool(0.5) && n > 0 {
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let v = rng.gen_range(0..n);
+                    set[v] = !set[v];
+                }
+            }
+            proptest::prop_assert_eq!(check_mis(&g, &set), two_pass_check_mis(&g, &set));
+        }
     }
 
     #[test]

@@ -16,14 +16,16 @@ use crate::graph::Graph;
 use crate::orientation::degeneracy_ordering;
 
 /// The degeneracy of `g`: the smallest `d` such that every subgraph has a
-/// node of degree ≤ `d`. `O(n + m)`.
+/// node of degree ≤ `d`. `O(n + m)`: the value-only bin-sort peel of
+/// [`crate::cores`], which keeps no removal order — use
+/// [`degeneracy_ordering`] when the smallest-last order itself is needed.
 ///
 /// ```
 /// let g = arbmis_graph::gen::cycle(8);
 /// assert_eq!(arbmis_graph::arboricity::degeneracy(&g), 2);
 /// ```
 pub fn degeneracy(g: &Graph) -> usize {
-    degeneracy_ordering(g).degeneracy
+    crate::cores::peel(g).1
 }
 
 /// Certified lower and upper bounds on the arboricity.

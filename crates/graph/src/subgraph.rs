@@ -242,23 +242,6 @@ impl SubgraphScratch {
             scratch: self,
         }
     }
-
-    /// Extracts the subgraph induced by `mask` (`O(n)` scan — intended
-    /// for once-per-run extractions, not per-component loops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask.len() != g.n()`.
-    pub fn induce_mask<'a>(&'a mut self, g: &Graph, mask: &[bool]) -> ScratchSubgraph<'a> {
-        assert_eq!(mask.len(), g.n());
-        self.begin(g.n());
-        self.nodes.extend((0..g.n()).filter(|&v| mask[v]));
-        let graph = self.finish(g);
-        ScratchSubgraph {
-            graph,
-            scratch: self,
-        }
-    }
 }
 
 /// A borrowed view of one [`SubgraphScratch`] extraction: the compacted
@@ -478,19 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_mask_matches_new() {
-        let g = gen::cycle(9);
-        let mask = [true, true, false, true, true, true, false, false, true];
-        let expect = InducedSubgraph::new(&g, &mask);
-        let mut scratch = SubgraphScratch::new();
-        let got = scratch.induce_mask(&g, &mask);
-        assert_eq!(got.graph(), expect.graph());
-        for i in 0..expect.n() {
-            assert_eq!(got.to_parent(i), expect.to_parent(i));
-        }
-    }
-
-    #[test]
     fn induce_by_matches_induce() {
         use rand::SeedableRng;
         let mut r = rand::rngs::StdRng::seed_from_u64(11);
@@ -563,8 +533,6 @@ mod tests {
             proptest::prop_assert_eq!(sub.graph().as_csr(), want);
             let mut scratch = SubgraphScratch::new();
             let got = scratch.induce(&g, &scrambled);
-            proptest::prop_assert_eq!(got.graph().as_csr(), want);
-            let got = scratch.induce_mask(&g, &mask);
             proptest::prop_assert_eq!(got.graph().as_csr(), want);
             let reversed = |v: NodeId| g.neighbors(v).iter().rev().copied();
             let by = scratch.induce_by(n, &scrambled, reversed);

@@ -4,15 +4,20 @@
 //! ρ_k cutoff on and off) over six families, three seeds and random
 //! region masks.
 //!
-//! Every digest below was recorded from the per-iteration `ActiveView`
-//! loops these functions ran before they became drivers of the flat
-//! engine. Each row hashes the whole output (MIS, bad and residual
-//! active masks, iteration count and the JSON-serialized `ScaleTrace`s)
-//! and names the round count in clear, so any change to a coin draw, a
-//! comparison, the round convention or the trace bookkeeping fails here.
+//! Every digest in `PINS` was recorded from the per-iteration
+//! `ActiveView` loops these functions ran before they became drivers of
+//! the flat engine. Each row hashes the whole output (MIS, bad and
+//! residual active masks, iteration count and the JSON-serialized
+//! `ScaleTrace`s) and names the round count in clear, so any change to a
+//! coin draw, a comparison, the round convention or the trace
+//! bookkeeping fails here.
+//!
+//! `ARBMIS_PINS` pins whole `arb_mis` outcomes, recorded while its
+//! shattering phase still ran on a compacted copy of the
+//! degree-reduction region; it now runs in place on the parent graph.
 
 use arbmis::core::bounded_arb::{bounded_arb_independent_set, BoundedArbConfig};
-use arbmis::core::{luby, metivier, ParamMode};
+use arbmis::core::{arb_mis, luby, metivier, ArbMisConfig, ParamMode};
 use arbmis::graph::digest::Fnv128;
 use arbmis::graph::{gen, Graph};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -320,21 +325,108 @@ const PINS: &[(&str, u64, &str)] = &[
     ("arb_lam1_rho0/bipartite/s2", 35, "332439b2f2d3cd02b908d80e89fe9941"),
 ];
 
-#[test]
-fn kernels_reproduce_the_pinned_loop_outputs() {
-    let rows = compute_rows();
+/// Asserts `rows` equal `pins` row by row; a failure prints the computed
+/// table.
+fn assert_pinned(rows: &[(String, u64, String)], pins: &[(&str, u64, &str)]) {
     let table: String = rows
         .iter()
         .map(|(l, r, d)| format!("    ({l:?}, {r}, {d:?}),\n"))
         .collect();
     assert_eq!(
         rows.len(),
-        PINS.len(),
+        pins.len(),
         "case count changed; computed:\n{table}"
     );
-    for ((label, rounds, dig), &(want_label, want_rounds, want_dig)) in rows.iter().zip(PINS) {
+    for ((label, rounds, dig), &(want_label, want_rounds, want_dig)) in rows.iter().zip(pins) {
         assert_eq!(label, want_label, "computed:\n{table}");
         assert_eq!(*rounds, want_rounds, "{label}: rounds");
         assert_eq!(dig, want_dig, "{label}: outputs");
     }
+}
+
+#[test]
+fn kernels_reproduce_the_pinned_loop_outputs() {
+    assert_pinned(&compute_rows(), PINS);
+}
+
+/// `(family, graph, arboricity bound)` for the end-to-end ArbMIS pins:
+/// degree reduction fires on the first three (hubs above
+/// `α·2^√(log n·log log n)`; on the broom it leaves a region whose
+/// induced Δ is far below the graph's) and stays off on the last two.
+fn arbmis_families() -> Vec<(&'static str, Graph, usize)> {
+    let r = |s: u64| StdRng::seed_from_u64(s);
+    vec![
+        ("ba2000", gen::barabasi_albert(2000, 2, &mut r(45)), 2),
+        ("broom", gen::broom(60, 1500), 1),
+        ("ktree3", gen::random_ktree(1500, 3, &mut r(42)), 3),
+        ("apollonian", gen::apollonian(1500, &mut r(43)), 3),
+        ("forests2", gen::forest_union(1500, 2, &mut r(44)), 2),
+    ]
+}
+
+/// Every ArbMIS case as `(label, rounds, digest)`: the whole
+/// `ArbMisOutcome` (MIS, per-phase rounds, the shattering outcome with
+/// its parameters and per-scale trace, bad-component sizes) under the
+/// default schedule and under Λ = 1, which leaves a residual `VIB` for
+/// the `V_lo`/`V_hi` finishers.
+fn compute_arbmis_rows() -> Vec<(String, u64, String)> {
+    let mut rows = Vec::new();
+    for (fam, g, alpha) in arbmis_families() {
+        for seed in 0..3u64 {
+            for (lam, lambda_scale) in [("", 1.0), ("_lam1", 0.001)] {
+                let cfg = ArbMisConfig {
+                    mode: ParamMode::Practical { lambda_scale },
+                    ..ArbMisConfig::new(alpha, seed)
+                };
+                let out = arb_mis(&g, &cfg);
+                let reduced = !matches!(fam, "apollonian" | "forests2");
+                assert_eq!(out.phases.degree_reduction > 0, reduced, "{fam}: reduction");
+                rows.push((
+                    format!("arbmis{lam}/{fam}/s{seed}"),
+                    out.rounds,
+                    digest(&serde_json::to_string(&out).unwrap()),
+                ));
+            }
+        }
+    }
+    rows
+}
+
+#[rustfmt::skip]
+const ARBMIS_PINS: &[(&str, u64, &str)] = &[
+    ("arbmis/ba2000/s0", 3168, "d1a4075c0ed7dfd25b18bc529ae1db24"),
+    ("arbmis_lam1/ba2000/s0", 18, "097e1335406b0d361ec39ed24488a576"),
+    ("arbmis/ba2000/s1", 2065, "5fac578a32fec15676640f173a5108f9"),
+    ("arbmis_lam1/ba2000/s1", 16, "c1e2609721d136eb548e6ccf719d05fb"),
+    ("arbmis/ba2000/s2", 3186, "d9b9301537e6e6d6dba4358ba10ed90c"),
+    ("arbmis_lam1/ba2000/s2", 18, "54aeeb5228d985edada251222a407580"),
+    ("arbmis/broom/s0", 9, "54a80b8775b0dc37e63731275b3d862a"),
+    ("arbmis_lam1/broom/s0", 9, "725f736ac5378f4ab7c216a5f7ca0861"),
+    ("arbmis/broom/s1", 9, "b4afdbf498592589c9655592d465198f"),
+    ("arbmis_lam1/broom/s1", 9, "ac49e386e537ff894c5c00f96ee44b0e"),
+    ("arbmis/broom/s2", 9, "fc2ba562ab1de72a95115a31d9c3b412"),
+    ("arbmis_lam1/broom/s2", 9, "9306bae4a1da31228404e83cea80bfb9"),
+    ("arbmis/ktree3/s0", 8190, "7f3b299e621b378d2128a985773e034e"),
+    ("arbmis_lam1/ktree3/s0", 18, "60f04ad6e4e4a315f4f015ab38e26c85"),
+    ("arbmis/ktree3/s1", 8136, "6ab6d088aed7bd1929391643797704d5"),
+    ("arbmis_lam1/ktree3/s1", 18, "1bce78d61eb52f6b14558c3ca00b4d7b"),
+    ("arbmis/ktree3/s2", 8271, "d273252e4060fefa6249e96745e457b6"),
+    ("arbmis_lam1/ktree3/s2", 18, "fca3e1ed69c21de54d6de28c132f67b5"),
+    ("arbmis/apollonian/s0", 14200, "70cf10c8d149fda32f40a3f22cba57ef"),
+    ("arbmis_lam1/apollonian/s0", 25, "699c4d17b480d6079b1559d958e4de42"),
+    ("arbmis/apollonian/s1", 14200, "018e308efcd6822a1ba658e87695c8cd"),
+    ("arbmis_lam1/apollonian/s1", 25, "98ec49aa1c3f691a428179665bb20c08"),
+    ("arbmis/apollonian/s2", 14200, "c0cd81095887c232e5136e82856e836d"),
+    ("arbmis_lam1/apollonian/s2", 25, "b8efd8d86835e148ab5d5e6aa3cf9558"),
+    ("arbmis/forests2/s0", 995, "fe6140fdd2477ced7776f1b4aa76cafa"),
+    ("arbmis_lam1/forests2/s0", 11, "072f25bccc42e0a664d90b0f7d3c573c"),
+    ("arbmis/forests2/s1", 995, "657ae2157a5762a8d84b3d3bb607facc"),
+    ("arbmis_lam1/forests2/s1", 11, "9d5d92765e01accd17e4b384427c053c"),
+    ("arbmis/forests2/s2", 995, "c069acd75a1fd02f136d7beb8acd3528"),
+    ("arbmis_lam1/forests2/s2", 11, "0b981a5f04d61a04ee3ae63d719e960d"),
+];
+
+#[test]
+fn arbmis_reproduces_the_pinned_outcomes() {
+    assert_pinned(&compute_arbmis_rows(), ARBMIS_PINS);
 }
